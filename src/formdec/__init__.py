@@ -30,6 +30,7 @@ from .cohomology import (
     CheckReport,
     CohomologyBasis,
     DualityError,
+    StarExpansionError,
     build_basis,
     matrix_E,
     matrix_Lambda,

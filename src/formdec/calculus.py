@@ -2,12 +2,15 @@
 Laplace-Beltrami operator, bilinear pairing, and a minimum-norm Green solver.
 
 Derivatives use periodic central-difference stencils (order 8 by default).
-On flat metrics the Laplacian is a constant-coefficient convolution, so the
-Green solve is done exactly through its Fourier symbol; near-null modes
-(constants, and light-cone modes in indefinite signature) are deflated and
-the minimum-norm solution returned.  On curved Riemannian metrics a MINRES
-iteration on the symmetrized operator is used, preconditioned by the flat
-symbol inverse.
+On flat metrics the Laplacian is a constant-coefficient convolution whose
+Fourier symbol has the closed form sum_a s_a (2 sum_j c_j sin(j k_a h_a)/h_a)^2,
+the same for every degree and component (stencil coefficients c_j after
+Fornberg, Math. Comp. 51, 1988; symbol as in Trefethen, Spectral Methods in
+MATLAB, 2000, ch. 3).  The flat Green solve divides by that symbol exactly;
+near-null modes (constants, and light-cone modes in indefinite signature)
+are deflated and the minimum-norm solution returned.  On curved Riemannian
+metrics a MINRES iteration on the symmetrized operator is used,
+preconditioned by the inverse of the same symbol.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import linalg as spla
 
-from .mesh import DiscreteForm, GridSpec, PeriodicGrid, build_grid, merge_sign
+from .mesh import DiscreteForm, merge_sign
 
 DEFAULT_ORDER = 8
 DEFLATION_TOL = 1e-10
@@ -32,12 +35,17 @@ _STENCILS = {
 }
 
 
-class GreenSolveError(RuntimeError):
-    """Raised when the Green solve misses its residual target."""
+class NumericFailure(RuntimeError):
+    """A computation missed a numeric target: its residual exceeds tolerance."""
 
-    def __init__(self, message, residual):
+    def __init__(self, message, residual, tolerance):
         super().__init__(message)
         self.residual = residual
+        self.tolerance = tolerance
+
+
+class GreenSolveError(NumericFailure):
+    """Raised when the Green solve misses its residual target."""
 
 
 @dataclass
@@ -138,33 +146,28 @@ def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _flat_symbols(grid, p, order):
-    """Fourier symbol of the Laplacian per component on a flat grid.
+def laplacian_symbol(grid, order=DEFAULT_ORDER):
+    """Fourier symbol of the flat-metric Laplacian, in fftn layout.
 
-    Computed from the delta-function response; raises if the operator
-    turns out not to be component-diagonal (it is, for flat diagonal
-    metrics, because the stencils commute exactly).
+    The stencil partial along axis a has symbol i sigma_a with
+    sigma_a = 2 sum_j c_j sin(j k_a h_a) / h_a.  The stencils commute, so on
+    a flat diagonal metric the Laplacian acts on every component of every
+    degree as -sum_a s_a partial_a^2, with symbol sum_a s_a sigma_a^2.  Only
+    the shape, steps and signature of the grid enter.
     """
-    key = (p, order)
     cache = grid._symbol_cache
-    if key in cache:
-        return cache[key]
-    symbols = {}
-    origin = (0,) * grid.dim
-    for I in grid.components_of_degree(p):
-        probe = grid.zeros(p)
-        probe.components[I][origin] = 1.0
-        response = laplacian(probe, order)
-        sym = np.fft.fftn(response.components[I])
-        scale = max(float(np.max(np.abs(sym))), 1.0)
-        if float(np.max(np.abs(sym.imag))) > 1e-10 * scale:
-            raise RuntimeError("flat Laplacian symbol is not real")
-        for J, other in response.components.items():
-            if J != I and float(np.max(np.abs(other))) > 1e-12 * scale:
-                raise RuntimeError("flat Laplacian mixes components")
-        symbols[I] = sym.real
-    cache[key] = symbols
-    return symbols
+    if order not in cache:
+        sym = np.zeros(grid.shape)
+        for a, (N, h, s) in enumerate(zip(grid.shape, grid.steps, grid.signature)):
+            kh = 2.0 * np.pi * np.fft.fftfreq(N)
+            sigma = 2.0 * sum(
+                c * np.sin(j * kh) for j, c in enumerate(_STENCILS[order], start=1)
+            ) / h
+            axis_shape = [1] * grid.dim
+            axis_shape[a] = N
+            sym = sym + s * (sigma * sigma).reshape(axis_shape)
+        cache[order] = sym
+    return cache[order]
 
 
 def _component_weights(grid, p):
@@ -178,44 +181,34 @@ def _component_weights(grid, p):
     return weights
 
 
-def _project_out(form, kernel_forms, weights):
-    """Remove the span of kernel_forms (weighted-orthonormalized) from form."""
-    if not kernel_forms:
-        return form
-    comps = sorted(form.components)
-
-    def dot(f, g):
-        return sum(
-            float(np.sum(f.components[I] * g.components[I] * weights[I]))
-            for I in comps
-        )
-
+def _orthonormalize(vectors, dot):
+    """Gram-Schmidt under `dot`, dropping vectors already in the span."""
     basis = []
-    for k in kernel_forms:
-        v = k.copy()
+    for v in vectors:
         for b in basis:
             v = v - b * dot(b, v)
         nrm = math.sqrt(abs(dot(v, v)))
         if nrm > 1e-14:
             basis.append(v * (1.0 / nrm))
-    out = form
+    return basis
+
+
+def _remove_span(x, basis, dot):
+    """Project x off the span of an orthonormal basis."""
     for b in basis:
-        out = out - b * dot(b, out)
-    return out
+        x = x - b * dot(b, x)
+    return x
 
 
 def _green_solve_flat(source, tol, order, kernel):
     grid = source.grid
     p = source.degree
-    symbols = _flat_symbols(grid, p, order)
-    max_sym = max(float(np.max(np.abs(s))) for s in symbols.values())
+    sym = laplacian_symbol(grid, order)
+    mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
+    deflated = int(mask.sum()) * len(source.components)
     theta = grid.zeros(p)
     proj = grid.zeros(p)
-    deflated = 0
     for I, comp in source.components.items():
-        sym = symbols[I]
-        mask = np.abs(sym) <= DEFLATION_TOL * max_sym
-        deflated += int(mask.sum())
         shat = np.fft.fftn(comp)
         shat_proj = np.where(mask, 0.0, shat)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,27 +217,25 @@ def _green_solve_flat(source, tol, order, kernel):
         proj.components[I][:] = np.fft.ifftn(shat_proj).real
     if kernel:
         weights = _component_weights(grid, p)
-        theta = _project_out(theta, kernel, weights)
+
+        def dot(f, g):
+            return sum(
+                float(np.sum(f.components[I] * g.components[I] * weights[I]))
+                for I in f.components
+            )
+
+        theta = _remove_span(theta, _orthonormalize(kernel, dot), dot)
     src_norm = _l2(source)
     if src_norm == 0.0:
         return theta, SolveReport(0, 0.0, deflated)
     res = _l2(laplacian(theta, order) - proj) / src_norm
     if res > tol:
-        raise GreenSolveError(f"flat Green solve residual {res:.3e} > {tol:.3e}", res)
+        raise GreenSolveError(f"flat Green solve residual {res:.3e} > {tol:.3e}", res, tol)
     return theta, SolveReport(1, res, deflated)
 
 
 def _l2(form):
     return math.sqrt(sum(float(np.sum(a * a)) for a in form.components.values()))
-
-
-def _flat_twin(grid):
-    if getattr(grid, "_flat_twin", None) is None:
-        spec = grid.spec
-        grid._flat_twin = build_grid(
-            GridSpec(spec.dim, spec.points, spec.periods, spec.signature, "flat")
-        )
-    return grid._flat_twin
 
 
 def _green_solve_curved(source, tol, max_iter, order, kernel):
@@ -278,39 +269,23 @@ def _green_solve_curved(source, tol, max_iter, order, kernel):
         return to_vec(laplacian(to_form(vec), order))
 
     # orthonormal kernel vectors in the symmetrized coordinates
-    kvecs = []
-    for kf in kernel_forms:
-        v = to_vec(kf)
-        for b in kvecs:
-            v = v - b * (b @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-14:
-            kvecs.append(v / nrm)
+    kvecs = _orthonormalize([to_vec(kf) for kf in kernel_forms], np.dot)
 
     def deflate(vec):
-        for b in kvecs:
-            vec = vec - b * (b @ vec)
-        return vec
+        return _remove_span(vec, kvecs, np.dot)
 
     # preconditioner: flat symbol inverse; near-null modes are clipped to
     # the smallest invertible symbol so M stays positive definite without
     # wildly amplifying the (already deflated) kernel directions
-    twin = _flat_twin(grid)
-    symbols = _flat_symbols(twin, p, order)
-    max_sym = max(float(np.max(np.abs(s))) for s in symbols.values())
-    floor = min(
-        float(np.min(np.abs(s)[np.abs(s) > DEFLATION_TOL * max_sym]))
-        for s in symbols.values()
-    )
-    inv_sym = {
-        I: 1.0 / np.clip(np.abs(symbols[I]), floor, None) for I in comps
-    }
+    abs_sym = np.abs(laplacian_symbol(grid, order))
+    floor = float(np.min(abs_sym[abs_sym > DEFLATION_TOL * float(np.max(abs_sym))]))
+    inv_sym = 1.0 / np.clip(abs_sym, floor, None)
 
     def precond(vec):
         out = np.empty_like(vec)
-        for k, I in enumerate(comps):
+        for k in range(len(comps)):
             block = vec[k * npts : (k + 1) * npts].reshape(grid.shape)
-            sol = np.fft.ifftn(np.fft.fftn(block) * inv_sym[I]).real
+            sol = np.fft.ifftn(np.fft.fftn(block) * inv_sym).real
             out[k * npts : (k + 1) * npts] = sol.ravel()
         # no deflation here: minres needs a symmetric positive definite M
         return out
@@ -354,6 +329,7 @@ def _green_solve_curved(source, tol, max_iter, order, kernel):
             f"Green solve did not reach tol={tol:.1e} after {iters[0]} iterations "
             f"(best residual {res:.3e})",
             res,
+            tol,
         )
     return theta, SolveReport(iters[0], res, len(kvecs))
 

@@ -1,9 +1,13 @@
 """Deterministic command-line front end emitting JSON reports.
 
 Subcommands: verify, torus2, taxonomy, decompose, em.  Exit code 0 when
-every check passes, 1 on a check failure, 2 on usage errors.  Output is
-byte-identical for identical inputs and --seed; wall-clock timings are
-only included behind --timings since they break that determinism.
+every check passes, 1 on a check failure, 2 on usage errors.  A numeric
+failure inside a computation (a Green solve missing its residual, an
+unresolved duality pairing, a star expansion the basis cannot span) is a
+check failure: the report so far is emitted with one failed check named
+after the failing stage.  Output is byte-identical for identical inputs and
+--seed; wall-clock timings are only included behind --timings since they
+break that determinism.
 """
 
 from __future__ import annotations
@@ -16,23 +20,25 @@ import time
 
 import numpy as np
 
-from . import (
-    calculus,
-    cohomology,
-    decompose,
-    em,
-    fields,
-    taxonomy,
-)
+from . import calculus, cohomology, decompose, em, fields, taxonomy
 from .mesh import GridSpec, build_grid
+
+MINKOWSKI = (-1, 1, 1, 1)
+
+# numeric failures and the stage each one is reported under
+FAILURE_STAGES = {
+    calculus.GreenSolveError: "green_solve",
+    cohomology.DualityError: "duality",
+    cohomology.StarExpansionError: "star_expansion",
+}
 
 
 class Report:
     """Accumulates matrices, values and named pass/fail checks."""
 
-    def __init__(self, command, inputs):
+    def __init__(self, command):
         self.command = command
-        self.inputs = inputs
+        self.inputs = {}
         self.matrices = {}
         self.values = {}
         self.checks = []
@@ -76,16 +82,12 @@ class Report:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _grid_from_args(args, dim=None):
-    dim = dim if dim is not None else getattr(args, "dim", 2)
-    n = args.grid
-    metric = getattr(args, "metric", "flat")
-    signature = getattr(args, "signature", None) or (1,) * dim
+def _grid(args, dim, metric="flat", signature=None):
     spec = GridSpec(
         dim=dim,
-        points=(n,) * dim,
+        points=(args.grid,) * dim,
         periods=(2.0 * math.pi,) * dim,
-        signature=tuple(signature),
+        signature=signature or (1,) * dim,
         metric=metric,
         R=getattr(args, "R", 0.0),
         r=getattr(args, "r", 0.0),
@@ -93,297 +95,48 @@ def _grid_from_args(args, dim=None):
     return build_grid(spec)
 
 
-def _emit(report, args):
-    text = report.to_json(with_timings=getattr(args, "timings", False))
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0 if report.ok() else 1
+def _tol(args, default):
+    return args.tol if args.tol is not None else default
 
 
 # ---------------------------------------------------------------------------
-# verify
+# shared pipelines: the decomposition and electromagnetic computations
 # ---------------------------------------------------------------------------
 
 
-def _verify_core(args, report):
-    grid = _grid_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-8
-    for p in range(grid.dim + 1):
-        f = fields.random_trig_form(grid, p, rng)
-        sgn = -1.0 if calculus.sign_D(p, grid.dim, grid.neg_count) else 1.0
-        res = (calculus.star(calculus.star(f)) - f * sgn).norm_inf() / max(
-            f.norm_inf(), 1e-300
-        )
-        report.check(f"star_star_degree_{p}", res, 1e-12)
-    a = fields.random_trig_form(grid, 1, rng)
-    b = fields.random_trig_form(grid, 1, rng)
-    report.check(
-        "pairing_symmetry",
-        abs(calculus.pairing(a, b) - calculus.pairing(b, a)),
-        1e-10,
-    )
-    f0 = fields.random_trig_form(grid, 0, rng)
-    report.check(
-        "dd_zero",
-        calculus.d(calculus.d(f0)).norm_inf() / max(f0.norm_inf(), 1e-300),
-        1e-10,
-    )
-    ftop = fields.random_trig_form(grid, grid.dim, rng)
-    report.check(
-        "delta_delta_zero",
-        calculus.delta(calculus.delta(ftop)).norm_inf() / max(ftop.norm_inf(), 1e-300),
-        1e-10,
-    )
-    c0 = fields.random_trig_form(grid, 0, rng)
-    a1 = fields.random_trig_form(grid, 1, rng)
-    adj = abs(calculus.pairing(calculus.d(c0), a1) - calculus.pairing(c0, calculus.delta(a1)))
-    report.check("adjointness", adj, tol)
+def _decompose_pipeline(report, basis, phis, tol):
+    """Decompose each 1-form of phis; one check per residual, worst over phis.
 
-
-def _verify_cohomology(args, report):
-    grid = _grid_from_args(args)
-    tol = args.tol if args.tol is not None else (1e-10 if grid.is_flat else 1e-5)
-    p = 1
-    basis = cohomology.build_basis(grid, p)
-    dual = basis if 2 * p == grid.dim else cohomology.build_basis(grid, grid.dim - p)
-    report.check("normalization", basis.normalization_residual, tol)
-    report.check("d_closure", basis.d_residual, tol)
-    report.check("delta_closure", basis.delta_residual, tol)
-    matrices, residuals = cohomology.verify_pair(basis, dual)
-    for name in ("E", "T", "Lambda"):
-        report.matrix(name, matrices[name if name != "T" else "T_dual"])
-    report.matrix("P", matrices["P"])
-    for name, res in residuals.items():
-        report.check(f"identity_{name}", res, tol)
-
-
-def _verify_decompose(args, report):
-    grid = _grid_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-8
-    basis = cohomology.build_basis(grid, 1)
-    E, P = cohomology.matrix_E(basis, basis)
-    T = cohomology.matrix_T(basis, basis)
-    Dpar = calculus.sign_D(1, grid.dim, grid.neg_count)
+    The dual quantities use the degree-(n-1) basis, so any dimension works.
+    Returns the decomposition, dual integrals and norm budget of the last form.
+    """
+    grid = basis.grid
+    n = grid.dim
+    dual = basis if n == 2 else cohomology.build_basis(grid, n - 1)
+    E, P = cohomology.matrix_E(basis, dual)
+    T = cohomology.matrix_T(dual, basis)  # T^{(1)}
+    T_dual = cohomology.matrix_T(basis, dual)  # T^{(n-1)}
+    Dpar = calculus.sign_D(1, n, grid.neg_count)
     worst = {}
-    for _ in range(5):
-        phi = fields.random_trig_form(grid, 1, rng)
+    for phi in phis:
         dec = decompose.hodge_decompose(phi, basis)
-        v = decompose.dual_decompose(phi, basis)
+        v = decompose.dual_decompose(phi, dual)
+        nb = decompose.norm_decompose(phi, dec, v, E, P)
         res = decompose.decomposition_residuals(phi, dec, basis)
+        res["norm_budget"] = nb.budget_error
+        res["cross_relation"] = decompose.cross_relation_check(
+            dec.u, v, T, Dpar, T_dual=T_dual
+        )["max"]
         for k, val in res.items():
             worst[k] = max(worst.get(k, 0.0), val)
-        cross = decompose.cross_relation_check(dec.u, v, T, Dpar, T_dual=T)
-        worst["cross_relation"] = max(worst.get("cross_relation", 0.0), cross["max"])
-        nb = decompose.norm_decompose(phi, dec, v, E, P)
-        worst["norm_budget"] = max(worst.get("norm_budget", 0.0), nb.budget_error)
     for k, val in worst.items():
-        cycle_tol = 1e-10 if "cycle" in k else tol
-        report.check(k, val, cycle_tol)
-
-
-def _verify_em(args, report):
-    args.dim = 4
-    args.signature = (-1, 1, 1, 1)
-    grid = _grid_from_args(args, dim=4)
-    tol = args.tol if args.tol is not None else 1e-7
-    basis2 = cohomology.build_basis(grid, 2)
-    report.value("betti_2", basis2.betti)
-    report.check("betti_2_even", basis2.betti % 2, 0.5)
-    F = fields.em_preset("mixed", grid, basis2)
-    T2 = cohomology.matrix_T(basis2, basis2)
-    E2, P2 = cohomology.matrix_E(basis2, basis2)
-    chg = em.charges(F, basis2)
-    JE, JM = em.currents(F)
-    AE, AM, dec = em.potentials(F, basis2)
-    report.check("reconstruction", dec.reconstruction_error, tol)
-    report.check("charge_relations", em.charge_relations(chg.qM, chg.qE, T2)["max"], 1e-8)
-    mx = em.maxwell_residuals(F, JE, JM)
-    report.check("maxwell_electric", mx["electric"], tol)
-    report.check("maxwell_magnetic", mx["magnetic"], tol)
-    act = em.action(F, AE, AM, JE, JM, chg, E2, P2)
-    report.check("action_budget", act.cross_check_residual, tol)
-
-
-def cmd_verify(args):
-    report = Report("verify", {"suite": args.suite, "grid": args.grid, "seed": args.seed})
-    suite = {
-        "core": _verify_core,
-        "cohomology": _verify_cohomology,
-        "decompose": _verify_decompose,
-        "em": _verify_em,
-    }[args.suite]
-    suite(args, report)
-    report.phase(args.suite)
-    return _emit(report, args)
-
-
-# ---------------------------------------------------------------------------
-# torus2
-# ---------------------------------------------------------------------------
-
-
-def cmd_torus2(args):
-    metric = "flat" if args.mode == "flat" else "embedded-torus"
-    args.metric = metric
-    grid = _grid_from_args(args, dim=2)
-    tol = args.tol if args.tol is not None else (1e-10 if args.mode == "flat" else 1e-5)
-    report = Report(
-        "torus2",
-        {"mode": args.mode, "grid": args.grid, "R": args.R, "r": args.r},
-    )
-    basis = cohomology.build_basis(grid, 1)
-    E, P = cohomology.matrix_E(basis, basis)
-    T = cohomology.matrix_T(basis, basis)
-    Lam = cohomology.matrix_Lambda(basis)
-    report.matrix("E", E)
-    report.matrix("T", T)
-    report.matrix("Lambda", Lam)
-    report.matrix("P", P)
-    Dpar = calculus.sign_D(1, 2, grid.neg_count)
-    chk = cohomology.verify_triple(E, T, Lam, Dpar)
-    report.check("TT_identity", chk.tt_residual, tol)
-    report.check("ET_identity", chk.et_residual, tol)
-    report.check("LEL_identity", chk.lel_residual, tol)
-    report.check("reality", chk.reality_residual, tol)
-    report.check("normalization", basis.normalization_residual, tol)
-    # m = 1 odd: the only admissible group, with its quadratic constraint
-    s = grid.neg_count
-    constraint = abs(
-        Lam[0, 1] ** 2 - Lam[0, 0] * Lam[1, 1] - (-1.0) ** (s + 1) * E[0, 1] ** 2
-    )
-    report.check("group_constraint", constraint, tol)
-    report.value("group", "S2.1.3")
-    report.value("det_T", chk.det_T)
-    report.phase("torus2")
-    return _emit(report, args)
-
-
-# ---------------------------------------------------------------------------
-# taxonomy
-# ---------------------------------------------------------------------------
-
-
-def cmd_taxonomy(args):
-    report = Report(
-        "taxonomy",
-        {"m_parity": args.m_parity, "s": args.s, "group": args.group, "seed": args.seed},
-    )
-    groups = taxonomy.admissible_groups(args.m_parity, args.s)
-    report.value("admissible_groups", groups)
-    if args.group is not None:
-        if args.params:
-            draws = [taxonomy.solve_group(args.group, json.loads(args.params), s=args.s)]
-        else:
-            rng = np.random.default_rng(args.seed)
-            draws = [
-                taxonomy.solve_group(
-                    args.group, taxonomy.random_params(args.group, args.s, rng), s=args.s
-                )
-                for _ in range(args.draws)
-            ]
-        worst = max(sol.constraints_residual for sol in draws)
-        report.check("identity_residuals", worst, 1e-12)
-        dets = sorted({round(sol.det_T, 9) for sol in draws})
-        report.value("det_T_values", dets)
-        sol = draws[0]
-        report.matrix("E", sol.E)
-        report.matrix("T", sol.T)
-        report.matrix("Lambda", sol.Lambda)
-        report.value("group", sol.group_label)
-    report.phase("taxonomy")
-    return _emit(report, args)
-
-
-# ---------------------------------------------------------------------------
-# decompose
-# ---------------------------------------------------------------------------
-
-
-def cmd_decompose(args):
-    grid = _grid_from_args(args, dim=2)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = Report(
-        "decompose", {"preset": args.preset, "grid": args.grid, "seed": args.seed}
-    )
-    basis = cohomology.build_basis(grid, 1)
-    if args.preset == "mixed-t2":
-        phi = fields.mixed_t2(grid, basis)
-    elif args.preset == "exact-t2":
-        phi = fields.exact_t2(grid)
-    else:
-        rng = np.random.default_rng(args.seed)
-        phi = fields.random_trig_form(grid, 1, rng)
-    E, P = cohomology.matrix_E(basis, basis)
-    T = cohomology.matrix_T(basis, basis)
-    Dpar = calculus.sign_D(1, 2, grid.neg_count)
-    dec = decompose.hodge_decompose(phi, basis)
-    v = decompose.dual_decompose(phi, basis)
-    nb = decompose.norm_decompose(phi, dec, v, E, P)
-    res = decompose.decomposition_residuals(phi, dec, basis)
-    report.value("u", dec.u.tolist())
-    report.value("v", v.tolist())
-    report.value(
-        "norm_terms",
-        {
-            "exact": nb.exact_term,
-            "coexact": nb.coexact_term,
-            "topological": nb.topological_term,
-            "residue": nb.residue_term,
-            "total": nb.total,
-            "direct": nb.direct_norm,
-        },
-    )
-    for k, val in res.items():
         report.check(k, val, 1e-10 if "cycle" in k else tol)
-    report.check("norm_budget", nb.budget_error, tol)
-    cross = decompose.cross_relation_check(dec.u, v, T, Dpar, T_dual=T)
-    report.check("cross_relation", cross["max"], tol)
-    if args.preset == "mixed-t2":
-        report.check("u_expected", float(np.max(np.abs(dec.u - [3.0, 4.0]))), tol)
-        report.check("topological_term_25", abs(nb.topological_term - 25.0), tol)
-    if args.preset == "exact-t2":
-        report.check("u_zero", float(np.max(np.abs(dec.u))), tol)
-    report.phase("decompose")
-    return _emit(report, args)
+    return dec, v, nb
 
 
-# ---------------------------------------------------------------------------
-# em
-# ---------------------------------------------------------------------------
-
-
-def _parse_charges(text):
-    out = []
-    for part in text.split(","):
-        q, _, cls = part.partition("@")
-        pair = tuple(int(ch) for ch in cls.strip())
-        out.append((float(q), pair))
-    return out
-
-
-def cmd_em(args):
-    args.metric = "flat"
-    args.signature = (-1, 1, 1, 1)
-    grid = _grid_from_args(args, dim=4)
-    tol = args.tol if args.tol is not None else 1e-7
-    report = Report(
-        "em",
-        {
-            "preset": args.preset,
-            "grid": args.grid,
-            "charges": args.charges,
-            "mu0": args.mu0,
-            "c": args.c,
-        },
-    )
-    mu0, c = args.mu0, args.c
-    basis2 = cohomology.build_basis(grid, 2)
-    charge_list = _parse_charges(args.charges) if args.charges else None
-    F = fields.em_preset(args.preset, grid, basis2, mu0=mu0, c=c, charge_list=charge_list)
+def _em_pipeline(report, basis2, preset, tol, mu0=1.0, c=1.0, charge_list=None):
+    """Charges, currents, potentials and action of a preset field F."""
+    F = fields.em_preset(preset, basis2.grid, basis2, mu0=mu0, c=c, charge_list=charge_list)
     T2 = cohomology.matrix_T(basis2, basis2)
     E2, P2 = cohomology.matrix_E(basis2, basis2)
     chg = em.charges(F, basis2, mu0=mu0, c=c)
@@ -410,13 +163,217 @@ def cmd_em(args):
     report.check("maxwell_electric", mx["electric"], tol)
     report.check("maxwell_magnetic", mx["magnetic"], tol)
     report.check("action_budget", act.cross_check_residual, tol)
-    if args.preset == "topological":
+    if preset == "topological":
         report.check("continuous_terms_zero", abs(act.electric_term) + abs(act.magnetic_term), tol)
-    report.phase("em")
-    return _emit(report, args)
 
 
 # ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+
+def _verify_core(args, report):
+    grid = _grid(args, args.dim, args.metric)
+    rng = np.random.default_rng(args.seed)
+
+    def form(p):
+        return fields.random_trig_form(grid, p, rng)
+
+    def rel(residual, f):
+        return residual.norm_inf() / max(f.norm_inf(), 1e-300)
+
+    for p in range(grid.dim + 1):
+        f = form(p)
+        sgn = -1.0 if calculus.sign_D(p, grid.dim, grid.neg_count) else 1.0
+        report.check(f"star_star_degree_{p}", rel(calculus.star(calculus.star(f)) - f * sgn, f), 1e-12)
+    a, b = form(1), form(1)
+    report.check("pairing_symmetry", abs(calculus.pairing(a, b) - calculus.pairing(b, a)), 1e-10)
+    f0 = form(0)
+    report.check("dd_zero", rel(calculus.d(calculus.d(f0)), f0), 1e-10)
+    ftop = form(grid.dim)
+    report.check("delta_delta_zero", rel(calculus.delta(calculus.delta(ftop)), ftop), 1e-10)
+    c0, a1 = form(0), form(1)
+    adj = abs(calculus.pairing(calculus.d(c0), a1) - calculus.pairing(c0, calculus.delta(a1)))
+    report.check("adjointness", adj, _tol(args, 1e-8))
+
+
+def _verify_cohomology(args, report):
+    grid = _grid(args, args.dim, args.metric)
+    tol = _tol(args, 1e-10 if grid.is_flat else 1e-5)
+    basis = cohomology.build_basis(grid, 1)
+    dual = basis if grid.dim == 2 else cohomology.build_basis(grid, grid.dim - 1)
+    report.check("normalization", basis.normalization_residual, tol)
+    report.check("d_closure", basis.d_residual, tol)
+    report.check("delta_closure", basis.delta_residual, tol)
+    matrices, residuals = cohomology.verify_pair(basis, dual)
+    report.matrix("E", matrices["E"])
+    report.matrix("T", matrices["T_dual"])
+    report.matrix("Lambda", matrices["Lambda"])
+    report.matrix("P", matrices["P"])
+    for name, res in residuals.items():
+        report.check(f"identity_{name}", res, tol)
+
+
+def _verify_decompose(args, report):
+    grid = _grid(args, args.dim, args.metric)
+    rng = np.random.default_rng(args.seed)
+    basis = cohomology.build_basis(grid, 1)
+    phis = [fields.random_trig_form(grid, 1, rng) for _ in range(5)]
+    _decompose_pipeline(report, basis, phis, _tol(args, 1e-8))
+
+
+def _verify_em(args, report):
+    basis2 = cohomology.build_basis(_grid(args, 4, args.metric, MINKOWSKI), 2)
+    report.check("betti_2_even", basis2.betti % 2, 0.5)
+    _em_pipeline(report, basis2, "mixed", _tol(args, 1e-7))
+
+
+VERIFY_SUITES = {
+    "core": _verify_core,
+    "cohomology": _verify_cohomology,
+    "decompose": _verify_decompose,
+    "em": _verify_em,
+}
+
+
+def cmd_verify(args, report):
+    VERIFY_SUITES[args.suite](args, report)
+
+
+# ---------------------------------------------------------------------------
+# torus2
+# ---------------------------------------------------------------------------
+
+
+def cmd_torus2(args, report):
+    flat = args.mode == "flat"
+    grid = _grid(args, 2, "flat" if flat else "embedded-torus")
+    tol = _tol(args, 1e-10 if flat else 1e-5)
+    basis = cohomology.build_basis(grid, 1)
+    E, P = cohomology.matrix_E(basis, basis)
+    T = cohomology.matrix_T(basis, basis)
+    Lam = cohomology.matrix_Lambda(basis)
+    report.matrix("E", E)
+    report.matrix("T", T)
+    report.matrix("Lambda", Lam)
+    report.matrix("P", P)
+    chk = cohomology.verify_triple(E, T, Lam, calculus.sign_D(1, 2, grid.neg_count))
+    report.check("TT_identity", chk.tt_residual, tol)
+    report.check("ET_identity", chk.et_residual, tol)
+    report.check("LEL_identity", chk.lel_residual, tol)
+    report.check("reality", chk.reality_residual, tol)
+    report.check("normalization", basis.normalization_residual, tol)
+    # m = 1 odd: the only admissible group, with its quadratic constraint
+    s = grid.neg_count
+    constraint = abs(
+        Lam[0, 1] ** 2 - Lam[0, 0] * Lam[1, 1] - (-1.0) ** (s + 1) * E[0, 1] ** 2
+    )
+    report.check("group_constraint", constraint, tol)
+    report.value("group", "S2.1.3")
+    report.value("det_T", chk.det_T)
+
+
+# ---------------------------------------------------------------------------
+# taxonomy
+# ---------------------------------------------------------------------------
+
+
+def cmd_taxonomy(args, report):
+    if args.m_parity is None:
+        args.m_parity = taxonomy.M_PARITY[args.group] if args.group else 0
+    groups = taxonomy.admissible_groups(args.m_parity, args.s)
+    report.value("admissible_groups", groups)
+    if args.group is None:
+        return
+    if args.group not in groups:
+        raise ValueError(
+            f"group {args.group} is not admissible for m parity {args.m_parity} "
+            f"and s {args.s}; admissible groups: {groups}"
+        )
+    if args.params:
+        draws = [taxonomy.solve_group(args.group, json.loads(args.params), s=args.s)]
+    else:
+        rng = np.random.default_rng(args.seed)
+        draws = [
+            taxonomy.solve_group(
+                args.group, taxonomy.random_params(args.group, args.s, rng), s=args.s
+            )
+            for _ in range(args.draws)
+        ]
+    worst = max(sol.constraints_residual for sol in draws)
+    report.check("identity_residuals", worst, 1e-12)
+    report.value("det_T_values", sorted({round(sol.det_T, 9) for sol in draws}))
+    sol = draws[0]
+    report.matrix("E", sol.E)
+    report.matrix("T", sol.T)
+    report.matrix("Lambda", sol.Lambda)
+    report.value("group", sol.group_label)
+
+
+# ---------------------------------------------------------------------------
+# decompose
+# ---------------------------------------------------------------------------
+
+
+def cmd_decompose(args, report):
+    grid = _grid(args, 2)
+    tol = _tol(args, 1e-8)
+    basis = cohomology.build_basis(grid, 1)
+    if args.preset == "mixed-t2":
+        phi = fields.mixed_t2(grid, basis)
+    elif args.preset == "exact-t2":
+        phi = fields.exact_t2(grid)
+    else:
+        phi = fields.random_trig_form(grid, 1, np.random.default_rng(args.seed))
+    dec, v, nb = _decompose_pipeline(report, basis, [phi], tol)
+    report.value("u", dec.u.tolist())
+    report.value("v", v.tolist())
+    report.value(
+        "norm_terms",
+        {
+            "exact": nb.exact_term,
+            "coexact": nb.coexact_term,
+            "topological": nb.topological_term,
+            "residue": nb.residue_term,
+            "total": nb.total,
+            "direct": nb.direct_norm,
+        },
+    )
+    if args.preset == "mixed-t2":
+        report.check("u_expected", float(np.max(np.abs(dec.u - [3.0, 4.0]))), tol)
+        report.check("topological_term_25", abs(nb.topological_term - 25.0), tol)
+    if args.preset == "exact-t2":
+        report.check("u_zero", float(np.max(np.abs(dec.u))), tol)
+
+
+# ---------------------------------------------------------------------------
+# em
+# ---------------------------------------------------------------------------
+
+
+def _parse_charges(text):
+    out = []
+    for part in text.split(","):
+        q, _, cls = part.partition("@")
+        pair = tuple(int(ch) for ch in cls.strip())
+        out.append((float(q), pair))
+    return out
+
+
+def cmd_em(args, report):
+    basis2 = cohomology.build_basis(_grid(args, 4, signature=MINKOWSKI), 2)
+    charge_list = _parse_charges(args.charges) if args.charges else None
+    _em_pipeline(report, basis2, args.preset, _tol(args, 1e-7), args.mu0, args.c, charge_list)
+
+
+# ---------------------------------------------------------------------------
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -426,63 +383,76 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default=64):
+    def common(p, func, inputs, grid_default=64):
         p.add_argument("--grid", type=int, default=grid_default, help="points per axis")
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument("--tol", type=float, default=None, help="override check tolerance")
         p.add_argument("--json-out", dest="json_out", default=None, help="also write JSON here")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+        p.set_defaults(func=func, inputs=inputs)
 
     p = sub.add_parser("verify", help="run a module invariant battery")
-    p.add_argument("--suite", choices=["core", "cohomology", "decompose", "em"], required=True)
+    p.add_argument("--suite", choices=list(VERIFY_SUITES), required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--metric", choices=["flat", "embedded-torus"], default="flat")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify, ("suite", "grid", "seed"))
 
     p = sub.add_parser("torus2", help="2-torus cohomology matrices")
     p.add_argument("--mode", choices=["flat", "embedded"], default="flat")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
-    common(p, grid_default=128)
-    p.set_defaults(func=cmd_torus2)
+    common(p, cmd_torus2, ("mode", "grid", "R", "r"), grid_default=128)
 
     p = sub.add_parser("taxonomy", help="beta_m = 2 solution families")
-    p.add_argument("--m-parity", dest="m_parity", type=int, default=0)
+    p.add_argument(
+        "--m-parity",
+        dest="m_parity",
+        type=int,
+        default=None,
+        help="parity of m; defaults to that of --group, else 0",
+    )
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--group", choices=list(taxonomy.GROUPS), default=None)
     p.add_argument("--params", default=None, help="JSON dict of free parameters")
-    p.add_argument("--draws", type=int, default=100)
-    common(p)
-    p.set_defaults(func=cmd_taxonomy)
+    p.add_argument("--draws", type=_positive_int, default=100)
+    common(p, cmd_taxonomy, ("m_parity", "s", "group", "seed"))
 
     p = sub.add_parser("decompose", help="Hodge decomposition presets")
     p.add_argument(
         "--preset", choices=["mixed-t2", "exact-t2", "random"], default="mixed-t2"
     )
-    common(p)
-    p.set_defaults(func=cmd_decompose)
+    common(p, cmd_decompose, ("preset", "grid", "seed"))
 
     p = sub.add_parser("em", help="electromagnetic demo on the Minkowski 4-torus")
     p.add_argument("--preset", choices=["topological", "exact", "mixed"], default="topological")
     p.add_argument("--charges", default=None, help="comma list like 1@01,2@23")
     p.add_argument("--mu0", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
-    common(p, grid_default=12)
-    p.set_defaults(func=cmd_em)
+    common(p, cmd_em, ("preset", "grid", "charges", "mu0", "c"), grid_default=12)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = Report(args.command)
     try:
-        return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        args.func(args, report)
+    except tuple(FAILURE_STAGES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        report.check(FAILURE_STAGES[type(exc)], exc.residual, exc.tolerance)
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.phase(getattr(args, "suite", args.command))
+    report.inputs = {k: getattr(args, k) for k in args.inputs}
+    text = report.to_json(with_timings=args.timings)
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+    return 0 if report.ok() else 1
 
 
 if __name__ == "__main__":

@@ -8,26 +8,27 @@ permutation P, and checks the exact identities relating them.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import calculus
-from .mesh import (
-    CycleSpec,
-    DiscreteForm,
-    integrate_cycle_mean,
-    integrate_manifold,
-    wedge,
-)
+from .mesh import CycleSpec, integrate_cycle_mean, integrate_manifold, wedge
 
 PAIR_TOL = 1e-8
 
 
-class DualityError(RuntimeError):
-    """Raised when the one-nonzero-per-row pairing structure is not resolved."""
+class DualityError(calculus.NumericFailure):
+    """Raised when the one-nonzero-per-row pairing structure is not resolved.
+
+    The residual is the largest off-pairing entry of the offending row
+    relative to the row maximum (1 when no single pairing can be read off).
+    """
+
+
+class StarExpansionError(calculus.NumericFailure):
+    """Raised when star(gamma_a) is not spanned by the dual basis."""
 
 
 @dataclass
@@ -45,17 +46,6 @@ class CohomologyBasis:
         return self.gammas[0].grid
 
 
-def _seed_forms(grid, p):
-    """Closed constant seeds dx^I / prod(periods), one per index tuple."""
-    seeds = []
-    cycles = []
-    for I in grid.components_of_degree(p):
-        scale = 1.0 / math.prod(grid.spec.periods[a] for a in I)
-        seeds.append(grid.constant_form(p, {I: scale}))
-        cycles.append(CycleSpec(axes=I))
-    return seeds, cycles
-
-
 def build_basis(grid, p, tol=1e-8, max_projections=3):
     """Representative basis with cycle integrals normalized to the identity.
 
@@ -64,11 +54,13 @@ def build_basis(grid, p, tol=1e-8, max_projections=3):
     coderivative is below tolerance, then the whole set is renormalized
     by the inverse of the cycle-integral matrix.
     """
-    seeds, cycles = _seed_forms(grid, p)
-    betti = len(seeds)
+    cycles = [CycleSpec(axes=I) for I in grid.components_of_degree(p)]
+    betti = len(cycles)
     gammas = []
-    for seed in seeds:
-        gamma = seed
+    for z in cycles:
+        # closed constant seed dx^I / prod(periods)
+        scale = 1.0 / math.prod(grid.spec.periods[a] for a in z.axes)
+        gamma = grid.constant_form(p, {z.axes: scale})
         if p >= 1 and not grid.is_flat:
             for _ in range(max_projections):
                 rough = calculus.delta(gamma)
@@ -78,9 +70,10 @@ def build_basis(grid, p, tol=1e-8, max_projections=3):
                 gamma = gamma - calculus.d(alpha)
         gammas.append(gamma)
 
-    cyc_matrix = np.array(
-        [[integrate_cycle_mean(g, z.axes) for z in cycles] for g in gammas]
-    )
+    def cycle_matrix(forms):
+        return np.array([[integrate_cycle_mean(g, z.axes) for z in cycles] for g in forms])
+
+    cyc_matrix = cycle_matrix(gammas)
     if abs(np.linalg.det(cyc_matrix)) < 1e-12:
         raise RuntimeError("seed set is not independent: singular cycle matrix")
     inv = np.linalg.inv(cyc_matrix)
@@ -91,14 +84,7 @@ def build_basis(grid, p, tol=1e-8, max_projections=3):
             g = g + gammas[b] * inv[a, b]
         normalized.append(g)
 
-    norm_res = max(
-        (
-            abs(integrate_cycle_mean(normalized[a], cycles[b].axes) - (1.0 if a == b else 0.0))
-            for a in range(betti)
-            for b in range(betti)
-        ),
-        default=0.0,
-    )
+    norm_res = float(np.max(np.abs(cycle_matrix(normalized) - np.eye(betti))))
     d_res = 0.0
     delta_res = 0.0
     for g in normalized:
@@ -131,16 +117,18 @@ def matrix_E(basis_p, basis_q, pair_tol=PAIR_TOL):
         row = np.abs(E[a])
         top = row.max()
         if top == 0.0:
-            raise DualityError(f"row {a} of E is identically zero")
+            raise DualityError(f"row {a} of E is identically zero", 1.0, pair_tol)
         big = np.flatnonzero(row > pair_tol * top)
         if len(big) != 1:
             raise DualityError(
                 f"duality not resolved at this resolution: row {a} has "
-                f"{len(big)} entries above tolerance"
+                f"{len(big)} entries above tolerance",
+                float(np.sort(row)[-2] / top),
+                pair_tol,
             )
         P[a] = big[0]
     if sorted(P) != list(range(beta)):
-        raise DualityError("pairing permutation is not a bijection")
+        raise DualityError("pairing permutation is not a bijection", 1.0, pair_tol)
     return E, P
 
 
@@ -155,10 +143,7 @@ def matrix_T(basis_p, basis_dual, expansion_tol=1e-6):
         raise ValueError("matrix_T needs complementary degrees")
     stars = [calculus.star(g) for g in basis_p.gammas]
     T = np.array(
-        [
-            [integrate_cycle_mean(sg, z.axes) for z in basis_dual.cycles]
-            for sg in stars
-        ]
+        [[integrate_cycle_mean(sg, z.axes) for z in basis_dual.cycles] for sg in stars]
     )
     worst = 0.0
     for a, sg in enumerate(stars):
@@ -168,9 +153,11 @@ def matrix_T(basis_p, basis_dual, expansion_tol=1e-6):
         scale = max(sg.norm_inf(), 1e-300)
         worst = max(worst, (sg - recon).norm_inf() / scale)
     if worst > expansion_tol:
-        raise RuntimeError(
+        raise StarExpansionError(
             f"star expansion residual {worst:.3e} exceeds {expansion_tol:.1e}: "
-            "basis not strong harmonic enough"
+            "basis not strong harmonic enough",
+            worst,
+            expansion_tol,
         )
     return T
 
@@ -193,44 +180,52 @@ class CheckReport:
     tt_residual: float
     et_residual: float
     lel_residual: float
+    lambda_sym_residual: float
     reality_residual: float
     det_T: float
 
     def max_residual(self):
-        return max(self.tt_residual, self.et_residual, self.lel_residual)
+        return max(
+            self.tt_residual, self.et_residual, self.lel_residual, self.lambda_sym_residual
+        )
 
 
-def verify_triple(E, T, Lam, D_parity):
-    """Residuals of T.T = (-1)^D I, E T^t = Lambda, Lam E^-1 Lam = (-1)^D E,
-    and the determinant reality rule |det T|^2 = (-1)^{beta D}.
+def verify_triple(E, T, Lam, D_parity, T_p=None):
+    """The E/T/Lambda identity battery.
 
-    Applies to the middle-dimension (endomorphism) case where a single T
-    maps the basis to itself.
+      tt:  T T_p - (-1)^D I
+      et:  E T^t - Lambda
+      lel: Lambda E^-1 Lambda - (-1)^D E   (a middle-degree identity)
+      lambda_sym: asymmetry of Lambda
+      reality: |det T|^2 - (-1)^{beta D}
+
+    At the middle degree a single T maps the basis to itself and T_p = T.
+    For a complementary pair, T is T^{(n-p)} and T_p is T^{(p)}.
     """
     E = np.asarray(E, dtype=float)
     T = np.asarray(T, dtype=float)
+    T_p = T if T_p is None else np.asarray(T_p, dtype=float)
     Lam = np.asarray(Lam, dtype=float)
     beta = E.shape[0]
     sgn = -1.0 if D_parity % 2 else 1.0
     eye = np.eye(beta)
-    tt = float(np.max(np.abs(T @ T - sgn * eye)))
+    tt = float(np.max(np.abs(T @ T_p - sgn * eye)))
     et = float(np.max(np.abs(E @ T.T - Lam)))
     if abs(np.linalg.det(E)) < 1e-300:
         raise np.linalg.LinAlgError("singular E matrix")
     lel = float(np.max(np.abs(Lam @ np.linalg.inv(E) @ Lam - sgn * E)))
+    lam_sym = float(np.max(np.abs(Lam - Lam.T)))
     det_T = float(np.linalg.det(T))
     reality = abs(det_T**2 - (-1.0) ** ((beta * D_parity) % 2))
-    return CheckReport(tt, et, lel, reality, det_T)
+    return CheckReport(tt, et, lel, lam_sym, reality, det_T)
 
 
 def verify_pair(basis_p, basis_dual, pair_tol=PAIR_TOL):
-    """Full identity battery for a complementary basis pair.
+    """verify_triple on a complementary basis pair, plus E's transpose rule.
 
-    Returns a dict of named residuals:
-      tt:  T^{(n-p)} T^{(p)} - (-1)^{D(p)} I
-      et:  E^{(p)} (T^{(n-p)})^t - Lambda^{(p)}
+    Returns (matrices, residuals).  The residuals are tt, et, lambda_sym
+    and, at the middle degree only, lel from verify_triple, plus
       e_transpose: E^{(p)} - (-1)^{(n-p)p} (E^{(n-p)})^t
-      lambda_sym:  asymmetry of Lambda^{(p)}
     """
     grid = basis_p.grid
     n, p = grid.dim, basis_p.degree
@@ -240,19 +235,16 @@ def verify_pair(basis_p, basis_dual, pair_tol=PAIR_TOL):
     T_dual = matrix_T(basis_p, basis_dual)  # T^{(n-p)}
     T_p = matrix_T(basis_dual, basis_p)  # T^{(p)}
     Lam = matrix_Lambda(basis_p)
-    sgn = -1.0 if Dpar else 1.0
-    eye = np.eye(basis_p.betti)
+    chk = verify_triple(E_p, T_dual, Lam, Dpar, T_p)
     flip = (-1.0) ** (((n - p) * p) % 2)
     residuals = {
-        "tt": float(np.max(np.abs(T_dual @ T_p - sgn * eye))),
-        "et": float(np.max(np.abs(E_p @ T_dual.T - Lam))),
+        "tt": chk.tt_residual,
+        "et": chk.et_residual,
         "e_transpose": float(np.max(np.abs(E_p - flip * E_q.T))),
-        "lambda_sym": float(np.max(np.abs(Lam - Lam.T))),
+        "lambda_sym": chk.lambda_sym_residual,
     }
     if p * 2 == n:
-        residuals["lel"] = float(
-            np.max(np.abs(Lam @ np.linalg.inv(E_p) @ Lam - sgn * E_p))
-        )
+        residuals["lel"] = chk.lel_residual
     matrices = {"E": E_p, "E_dual": E_q, "T_dual": T_dual, "T": T_p, "Lambda": Lam, "P": P}
     return matrices, residuals
 

@@ -16,7 +16,11 @@ from .mesh import DiscreteForm, integrate_cycle_mean
 
 @dataclass
 class Decomposition:
-    """phi = d(alpha) + delta(beta) + sum_a u_a gamma_a + residue."""
+    """phi = d(alpha) + delta(beta) + sum_a u_a gamma_a + residue.
+
+    reconstruction_error is |residue|_inf / |phi|_inf: the share of phi that
+    the exact, coexact and topological terms leave unexplained.
+    """
 
     alpha: object  # (p-1)-form or None when p = 0
     beta: object  # (p+1)-form or None when p = n
@@ -51,52 +55,70 @@ def hodge_decompose(phi, basis, tol=1e-10, order=DEFAULT_ORDER, kernel_lo=None, 
         )
         recon = recon + calculus.delta(beta, order)
 
-    u = np.array([integrate_cycle_mean(phi, z.axes) for z in basis.cycles])
+    u = _cycle_integrals(basis, phi)
     for a, g in enumerate(basis.gammas):
         recon = recon + g * u[a]
     residue = phi - recon
-    full = recon + residue
-    err = (phi - full).norm_inf() / max(phi.norm_inf(), 1e-300)
+    err = residue.norm_inf() / max(phi.norm_inf(), 1e-300)
     return Decomposition(alpha, beta, u, residue, err)
+
+
+def coexact_potential(beta):
+    """beta_m = -(-1)^{C(q)} star(beta) for a q-form beta.
+
+    Rewrites the coexact term as delta(beta) = -star(d(beta_m)).
+    """
+    grid = beta.grid
+    sgn_c = -1.0 if sign_C(beta.degree, grid.dim, grid.neg_count) else 1.0
+    return calculus.star(beta) * (-sgn_c)
+
+
+def topological_sum(E, P, x, y):
+    """Discrete duality sum sum_a eps_{a,P(a)} x_a y_{P(a)}."""
+    E = np.asarray(E, dtype=float)
+    P = np.asarray(P, dtype=int)
+    return float(sum(E[a, P[a]] * x[a] * y[P[a]] for a in range(len(x))))
 
 
 def dual_decompose(phi, dual_basis):
     """Dual cycle integrals v_a = int_{z^{(n-p)}_a} star(phi)."""
     if phi.degree + dual_basis.degree != phi.grid.dim:
         raise ValueError("dual basis must have the complementary degree")
-    sphi = calculus.star(phi)
-    return np.array([integrate_cycle_mean(sphi, z.axes) for z in dual_basis.cycles])
+    return _cycle_integrals(dual_basis, calculus.star(phi))
 
 
 def decomposition_residuals(phi, dec, basis, order=DEFAULT_ORDER):
     """Gauge and residue residuals of a computed decomposition, normalized."""
     scale = max(phi.norm_inf(), 1e-300)
-    out = {"reconstruction": dec.reconstruction_error}
+    out = {}
     if dec.alpha is not None:
         out["gauge_delta_alpha"] = (
             calculus.delta(dec.alpha, order).norm_inf() / scale
             if dec.alpha.degree > 0
             else 0.0
         )
-        d_alpha = calculus.d(dec.alpha, order)
-        out["cycle_of_exact"] = max(
-            abs(integrate_cycle_mean(d_alpha, z.axes)) for z in basis.cycles
-        )
+        out["cycle_of_exact"] = _max_abs(_cycle_integrals(basis, calculus.d(dec.alpha, order)))
     if dec.beta is not None:
         out["gauge_d_beta"] = (
             calculus.d(dec.beta, order).norm_inf() / scale
             if dec.beta.degree < phi.grid.dim
             else 0.0
         )
-        delta_beta = calculus.delta(dec.beta, order)
-        out["cycle_of_coexact"] = max(
-            abs(integrate_cycle_mean(delta_beta, z.axes)) for z in basis.cycles
+        out["cycle_of_coexact"] = _max_abs(
+            _cycle_integrals(basis, calculus.delta(dec.beta, order))
         )
     out["residue_norm"] = dec.residue.norm_inf() / scale
-    out["residue_cycles"] = max(
-        abs(integrate_cycle_mean(dec.residue, z.axes)) for z in basis.cycles
-    )
+    out["residue_cycles"] = _max_abs(_cycle_integrals(basis, dec.residue))
     return out
+
+
+def _cycle_integrals(basis, form):
+    """Offset-averaged integrals of form over the basis cycles."""
+    return np.array([integrate_cycle_mean(form, z.axes) for z in basis.cycles])
+
+
+def _max_abs(x):
+    return float(np.max(np.abs(x)))
 
 
 def cross_relation_check(u, v, T, D_parity, T_dual=None):
@@ -110,13 +132,13 @@ def cross_relation_check(u, v, T, D_parity, T_dual=None):
     v = np.asarray(v, dtype=float)
     T = np.asarray(T, dtype=float)
     sgn = -1.0 if D_parity % 2 else 1.0
-    out = {"forward": float(np.max(np.abs(u - sgn * (T.T @ v))))}
+    out = {"forward": _max_abs(u - sgn * (T.T @ v))}
     if T_dual is not None:
         T_dual = np.asarray(T_dual, dtype=float)
-        out["reciprocal"] = float(np.max(np.abs(v - T_dual.T @ u)))
+        out["reciprocal"] = _max_abs(v - T_dual.T @ u)
     if D_parity % 2:
         w = u + 1j * v
-        out["quadrature"] = float(np.max(np.abs(w - 1j * (T.T @ w))))
+        out["quadrature"] = _max_abs(w - 1j * (T.T @ w))
     out["max"] = max(out.values())
     return out
 
@@ -143,15 +165,11 @@ def norm_decompose(phi, dec, v, E, P, order=DEFAULT_ORDER):
     The topological term is the discrete sum over duality pairs,
     sum_a eps_{a,P(a)} u_a v_{P(a)}.  At the middle degree of an even-
     dimensional manifold the coexact term uses the rewritten potential
-    beta_m = -(-1)^{C(m+1)} star(beta), giving (-1)^s (beta_m, delta star phi).
+    beta_m = coexact_potential(beta), giving (-1)^s (beta_m, delta star phi).
     """
     grid = phi.grid
     n, s = grid.dim, grid.neg_count
     p = phi.degree
-    E = np.asarray(E, dtype=float)
-    P = np.asarray(P, dtype=int)
-    u = dec.u
-    v = np.asarray(v, dtype=float)
 
     exact = 0.0
     if dec.alpha is not None:
@@ -159,14 +177,12 @@ def norm_decompose(phi, dec, v, E, P, order=DEFAULT_ORDER):
     coexact = 0.0
     if dec.beta is not None:
         if n % 2 == 0 and p == n // 2:
-            sgn_c = -1.0 if sign_C(p + 1, n, s) else 1.0
-            beta_m = calculus.star(dec.beta) * (-sgn_c)
             coexact = ((-1.0) ** s) * calculus.pairing(
-                beta_m, calculus.delta(calculus.star(phi), order)
+                coexact_potential(dec.beta), calculus.delta(calculus.star(phi), order)
             )
         else:
             coexact = calculus.pairing(dec.beta, calculus.d(phi, order))
-    topological = float(sum(E[a, P[a]] * u[a] * v[P[a]] for a in range(len(u))))
+    topological = topological_sum(E, P, dec.u, v)
     residue_term = calculus.pairing(dec.residue, dec.residue)
     total = exact + coexact + topological + residue_term
     direct = calculus.pairing(phi, phi)

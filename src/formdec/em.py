@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus, decompose
-from .calculus import DEFAULT_ORDER, sign_C
-from .decompose import Decomposition
+from .calculus import DEFAULT_ORDER
 from .mesh import DiscreteForm, integrate_cycle_mean
 
 
@@ -70,30 +69,26 @@ def assemble_F(Efield, Bfield, grid, c=1.0, mu0=1.0):
     return EmField(F, mu0=mu0, c=c)
 
 
-def _form_of(field):
-    return field.F if isinstance(field, EmField) else field
+def _unpack(field, mu0=1.0, c=1.0):
+    """(F, mu0, c); an EmField carries its own unit constants."""
+    if isinstance(field, EmField):
+        return field.F, field.mu0, field.c
+    return field, mu0, c
 
 
 def charges(field, basis2, mu0=1.0, c=1.0):
-    """Topological charges: mu0 c qM_a = int_{z_a} F, mu0 c qE_a = int_{z_a} *F."""
-    F = _form_of(field)
-    if isinstance(field, EmField):
-        mu0, c = field.mu0, field.c
-    sF = calculus.star(F)
-    qM = np.array(
-        [integrate_cycle_mean(F, z.axes) for z in basis2.cycles]
-    ) / (mu0 * c)
-    qE = np.array(
-        [integrate_cycle_mean(sF, z.axes) for z in basis2.cycles]
-    ) / (mu0 * c)
-    return ChargeSet(qM, qE)
+    """Topological charges: mu0 c qM_a = int_{z_a} F, mu0 c qE_a = int_{z_a} *F.
+
+    These are the cycle integrals u and dual integrals v of F at p = 2.
+    """
+    F, mu0, c = _unpack(field, mu0, c)
+    qM = np.array([integrate_cycle_mean(F, z.axes) for z in basis2.cycles])
+    return ChargeSet(qM / (mu0 * c), decompose.dual_decompose(F, basis2) / (mu0 * c))
 
 
 def currents(field, mu0=1.0, order=DEFAULT_ORDER):
     """Continuous sources: JE = delta(F)/mu0, JM = -delta(*F)/mu0."""
-    F = _form_of(field)
-    if isinstance(field, EmField):
-        mu0 = field.mu0
+    F, mu0, _ = _unpack(field, mu0)
     JE = calculus.delta(F, order) * (1.0 / mu0)
     JM = calculus.delta(calculus.star(F), order) * (-1.0 / mu0)
     return JE, JM
@@ -102,41 +97,29 @@ def currents(field, mu0=1.0, order=DEFAULT_ORDER):
 def potentials(field, basis2, tol=1e-10, order=DEFAULT_ORDER):
     """Double potential (AE, AM) plus the underlying decomposition.
 
-    AE solves Delta(AE) = delta(F); the coexact part is rewritten as
-    -star(d AM) with AM = -(-1)^{C(3)} star(theta), theta = G(d F).
-    Reconstruction: F = d AE - star(d AM) + sum_a u_a gamma_a.
+    The Hodge decomposition of F at p = 2 gives AE = alpha; its coexact
+    part delta(beta) is rewritten as -star(d AM) with AM = coexact_potential(beta).
+    Reconstruction: F = d AE - star(d AM) + sum_a u_a gamma_a + residue.
     """
-    F = _form_of(field)
-    grid = F.grid
-    require_minkowski(grid)
-    AE, _ = calculus.green_solve(calculus.delta(F, order), tol=tol, order=order)
-    theta, _ = calculus.green_solve(calculus.d(F, order), tol=tol, order=order)
-    sgn_c = -1.0 if sign_C(3, grid.dim, grid.neg_count) else 1.0
-    AM = calculus.star(theta) * (-sgn_c)
-    u = np.array([integrate_cycle_mean(F, z.axes) for z in basis2.cycles])
-    recon = calculus.d(AE, order) - calculus.star(calculus.d(AM, order))
-    for a, g in enumerate(basis2.gammas):
-        recon = recon + g * u[a]
-    residue = F - recon
-    err = residue.norm_inf() / max(F.norm_inf(), 1e-300)
-    dec = Decomposition(AE, theta, u, residue, err)
-    return AE, AM, dec
+    F = _unpack(field)[0]
+    require_minkowski(F.grid)
+    dec = decompose.hodge_decompose(F, basis2, tol=tol, order=order)
+    return dec.alpha, decompose.coexact_potential(dec.beta), dec
 
 
 def charge_relations(qM, qE, T2):
     """Residuals of qM = -T^t qE, qE = T^t qM, and the quadrature form
-    q = i T^t q with q = qM + i qE."""
-    qM = np.asarray(qM, dtype=float)
-    qE = np.asarray(qE, dtype=float)
-    T2 = np.asarray(T2, dtype=float)
-    out = {
-        "magnetic_from_electric": float(np.max(np.abs(qM + T2.T @ qE))),
-        "electric_from_magnetic": float(np.max(np.abs(qE - T2.T @ qM))),
+    q = i T^t q with q = qM + i qE.
+
+    These are the cross relations of F at p = 2, where D(2) = 4 + s is odd.
+    """
+    rel = decompose.cross_relation_check(qM, qE, T2, 1, T_dual=T2)
+    return {
+        "magnetic_from_electric": rel["forward"],
+        "electric_from_magnetic": rel["reciprocal"],
+        "quadrature": rel["quadrature"],
+        "max": rel["max"],
     }
-    q = qM + 1j * qE
-    out["quadrature"] = float(np.max(np.abs(q - 1j * (T2.T @ q))))
-    out["max"] = max(out.values())
-    return out
 
 
 def action(field, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
@@ -145,17 +128,10 @@ def action(field, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
     S = -(2/c)(AE,JE) - (2/c)(AM,JM) - mu0 c sum_a eps_{a,P(a)} qM_a qE_{P(a)},
     cross-checked against S = -(1/mu0 c)(F,F) - (1/c)(AE,JE) - (1/c)(AM,JM).
     """
-    F = _form_of(field)
-    if isinstance(field, EmField):
-        mu0, c = field.mu0, field.c
-    E2 = np.asarray(E2, dtype=float)
-    P = np.asarray(P, dtype=int)
-    qM, qE = charge_set.qM, charge_set.qE
+    F, mu0, c = _unpack(field, mu0, c)
     pe = calculus.pairing(AE, JE)
     pm = calculus.pairing(AM, JM)
-    s_d = -mu0 * c * float(
-        sum(E2[a, P[a]] * qM[a] * qE[P[a]] for a in range(len(qM)))
-    )
+    s_d = -mu0 * c * decompose.topological_sum(E2, P, charge_set.qM, charge_set.qE)
     electric = -(2.0 / c) * pe
     magnetic = -(2.0 / c) * pm
     total = electric + magnetic + s_d
@@ -167,9 +143,7 @@ def action(field, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
 
 def maxwell_residuals(field, JE, JM, mu0=1.0, order=DEFAULT_ORDER):
     """Normalized residuals of d*F = mu0 *JE and dF = mu0 *JM."""
-    F = _form_of(field)
-    if isinstance(field, EmField):
-        mu0 = field.mu0
+    F, mu0, _ = _unpack(field, mu0)
     scale = max(F.norm_inf(), 1e-300)
     r1 = (
         calculus.d(calculus.star(F), order) - calculus.star(JE) * mu0

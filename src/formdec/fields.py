@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import calculus
-from .mesh import DiscreteForm
 
 
 def random_trig_form(grid, degree, rng, kmax=3, nmodes=4):

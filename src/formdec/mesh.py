@@ -9,7 +9,6 @@ accurate for smooth periodic integrands.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -82,33 +81,6 @@ class GridSpec:
     def neg_count(self):
         """Number of -1 entries in the signature (the s of the metric)."""
         return sum(1 for s in self.signature if s == -1)
-
-    def to_manifest(self):
-        m = {
-            "dim": self.dim,
-            "n": list(self.points),
-            "period": list(self.periods),
-            "signature": list(self.signature),
-            "metric": self.metric,
-        }
-        if self.metric == "embedded-torus":
-            m["R"] = self.R
-            m["r"] = self.r
-        return m
-
-    @classmethod
-    def from_manifest(cls, manifest):
-        if isinstance(manifest, str):
-            manifest = json.loads(manifest)
-        return cls(
-            dim=manifest["dim"],
-            points=tuple(manifest["n"]),
-            periods=tuple(manifest["period"]),
-            signature=tuple(manifest.get("signature", [1] * manifest["dim"])),
-            metric=manifest.get("metric", "flat"),
-            R=manifest.get("R", 0.0),
-            r=manifest.get("r", 0.0),
-        )
 
 
 class PeriodicGrid:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cohomology import verify_triple
+
 GROUPS = ("S2.1.1", "S2.1.2", "S2.1.3", "S2.2.1", "S2.2.2")
 
 # expected det T per group as a function of s parity
@@ -25,7 +27,7 @@ _DET_RULES = {
 }
 
 # required m parity per group (0 = even, 1 = odd)
-_M_PARITY = {
+M_PARITY = {
     "S2.1.1": 0,
     "S2.1.2": 0,
     "S2.1.3": 1,
@@ -69,18 +71,6 @@ def _exactify(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     return float(x)
-
-
-def _check_identities(E, T, Lam, D_parity):
-    sgn = -1.0 if D_parity % 2 else 1.0
-    eye = np.eye(2)
-    res = max(
-        float(np.max(np.abs(T @ T - sgn * eye))),
-        float(np.max(np.abs(E @ T.T - Lam))),
-        float(np.max(np.abs(Lam @ np.linalg.inv(E) @ Lam - sgn * E))),
-        float(np.max(np.abs(Lam - Lam.T))),
-    )
-    return res
 
 
 def solve_group(group, params, s=0):
@@ -185,15 +175,15 @@ def solve_group(group, params, s=0):
         )
 
     # D(m) parity for n = 2m is (m + s) mod 2
-    D_parity = (_M_PARITY[group] + s) % 2
-    res = _check_identities(E, T, Lam, D_parity)
-    det_T = float(np.linalg.det(T))
+    D_parity = (M_PARITY[group] + s) % 2
+    chk = verify_triple(E, T, Lam, D_parity)
+    det_T = chk.det_T
     expected = _DET_RULES[group](s)
     if expected is not None and abs(det_T - expected) > 1e-10:
         raise RuntimeError(
             f"{group}: det T = {det_T} does not match the expected {expected}"
         )
-    return TaxonomySolution(group, E, T, Lam.astype(float), det_T, res)
+    return TaxonomySolution(group, E, T, Lam.astype(float), det_T, chk.max_residual())
 
 
 def family_T(u, v):

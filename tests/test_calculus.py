@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -158,6 +159,45 @@ def test_minkowski_harmonic_not_strong_harmonic(t4_mink):
     A.components[(2,)][:] = np.sin(t4_mink.coords[0] - t4_mink.coords[1])
     assert laplacian(A).norm_inf() < 1e-8  # light-cone mode: harmonic
     assert d(A).norm_inf() > 0.5  # but not closed
+
+
+def _probe_symbol(grid, I, order):
+    """Reference Fourier symbol of the Laplacian on component I: the FFT of
+    its response to a delta function.  Also checks that no other component
+    responds."""
+    probe = grid.zeros(len(I))
+    probe.components[I][(0,) * grid.dim] = 1.0
+    response = laplacian(probe, order)
+    sym = np.fft.fftn(response.components[I])
+    scale = float(np.max(np.abs(sym)))
+    assert float(np.max(np.abs(sym.imag))) <= 1e-12 * scale
+    for J, other in response.components.items():
+        if J != I:
+            assert float(np.max(np.abs(other))) <= 1e-12 * scale
+    return sym.real
+
+
+@pytest.mark.parametrize(
+    "points,periods",
+    [
+        ((6,), (1.3,)),
+        ((8, 6), (2.0, 5.1)),
+        ((6, 4, 8), (1.0, 2.5, TWO_PI)),
+        ((4, 6, 4, 8), (1.0, 2.0, 3.5, TWO_PI)),
+    ],
+)
+def test_closed_form_symbol_matches_delta_probe(points, periods):
+    dim = len(points)
+    orders = (2, 4, 6, 8) if dim <= 2 else (8,)
+    for signature in itertools.product((1, -1), repeat=dim):
+        grid = build_grid(GridSpec(dim, points, periods, signature))
+        for order in orders:
+            sym = calculus.laplacian_symbol(grid, order)
+            for p in range(dim + 1):
+                for I in grid.components_of_degree(p):
+                    ref = _probe_symbol(grid, I, order)
+                    scale = float(np.max(np.abs(ref)))
+                    assert float(np.max(np.abs(sym - ref))) <= 1e-12 * scale
 
 
 def test_green_round_trip_flat(t2_flat):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from formdec import cli
+from formdec import calculus, cli, cohomology
 
 
 def run(capsys, argv):
@@ -138,3 +138,74 @@ def test_bad_subcommand_systemexit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["definitely-not-a-command"])
     assert exc.value.code == 2
+
+
+def test_numeric_failure_is_a_json_report(capsys):
+    # at 8 points the embedded torus basis cannot be made strong harmonic
+    code = cli.main(["torus2", "--mode", "embedded", "--grid", "8"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert "error:" in captured.err
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["star_expansion"]
+    assert failed[0]["residual"] > failed[0]["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize(
+    "exc,stage",
+    [
+        (calculus.GreenSolveError("missed", 1e-3, 1e-10), "green_solve"),
+        (cohomology.DualityError("unresolved", 0.5, 1e-8), "duality"),
+        (cohomology.StarExpansionError("not spanned", 1e-2, 1e-6), "star_expansion"),
+    ],
+)
+def test_numeric_failure_stage_names(capsys, monkeypatch, exc, stage):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.cohomology, "build_basis", fail)
+    code = cli.main(["decompose", "--grid", "8"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["checks"] == [
+        {"name": stage, "residual": exc.residual, "tolerance": exc.tolerance, "pass": False}
+    ]
+
+
+def test_taxonomy_m_parity_follows_group(capsys):
+    code, doc = run(
+        capsys,
+        ["taxonomy", "--group", "S2.1.3", "--params", '{"E12": 1, "lam11": 1, "lam12": 0}'],
+    )
+    assert code == 0
+    assert doc["inputs"]["m_parity"] == 1
+    assert doc["values"]["admissible_groups"] == ["S2.1.3"]
+    code, doc = run(capsys, ["taxonomy", "--group", "S2.1.1", "--draws", "3"])
+    assert code == 0
+    assert doc["inputs"]["m_parity"] == 0
+    assert "S2.1.1" in doc["values"]["admissible_groups"]
+
+
+def test_taxonomy_conflicting_m_parity_exit_2(capsys):
+    code = cli.main(["taxonomy", "--m-parity", "1", "--group", "S2.1.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "S2.1.3" in captured.err  # names the groups admissible for odd m
+
+
+def test_taxonomy_draws_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["taxonomy", "--group", "S2.2.2", "--draws", "0"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_verify_decompose_higher_dims(capsys, dim):
+    code, doc = run(capsys, ["verify", "--suite", "decompose", "--dim", str(dim), "--grid", "8"])
+    assert code == 0
+    names = [c["name"] for c in doc["checks"]]
+    assert names[-2:] == ["norm_budget", "cross_relation"]
+    assert all(c["pass"] for c in doc["checks"])

@@ -96,7 +96,7 @@ def test_round_trip_many_random(setup):
         phi = fields.random_trig_form(grid, 1, rng)
         dec = hodge_decompose(phi, basis)
         res = decompose.decomposition_residuals(phi, dec, basis)
-        assert res["reconstruction"] <= 1e-12
+        assert dec.reconstruction_error <= 1e-12
         assert res["residue_norm"] <= 1e-8
         assert res["gauge_delta_alpha"] <= 1e-8
         assert res["gauge_d_beta"] <= 1e-8

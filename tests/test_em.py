@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from formdec import calculus, cohomology, em, fields
+from formdec import calculus, cohomology, decompose, em, fields
 from formdec.em import (
     assemble_F,
     action,
@@ -119,6 +119,32 @@ def test_potentials_mixed_linearity(setup):
     assert (AEm - AEe).norm_inf() < 1e-8
     assert (AMm - AMe).norm_inf() < 1e-8
     assert decm.reconstruction_error <= 1e-7
+
+
+def test_lightcone_field_is_all_residue(setup):
+    # F = d(cos(x0 + x1) dx2) is built from a discrete light-cone mode: the
+    # Green solves deflate it and its cycle integrals vanish, so all of F is
+    # residue and the reconstruction error reads 1, from either entry point
+    grid, basis2, E2, P, T2 = setup
+    A = grid.zeros(1)
+    A.components[(2,)][:] = np.cos(grid.coords[0] + grid.coords[1])
+    F = calculus.d(A)
+    dec = decompose.hodge_decompose(F, basis2)
+    assert abs(dec.reconstruction_error - 1.0) < 1e-12
+    _, _, dec_em = potentials(F, basis2)
+    assert abs(dec_em.reconstruction_error - 1.0) < 1e-12
+
+
+def test_magnetic_potential_rewrites_coexact_part(setup):
+    # -star(d AM) is the coexact term delta(beta) of the decomposition
+    grid, basis2, E2, P, T2 = setup
+    F = fields.random_trig_form(grid, 2, np.random.default_rng(3))
+    AE, AM, dec = potentials(F, basis2)
+    coexact = calculus.delta(dec.beta)
+    assert coexact.norm_inf() > 1.0
+    rewritten = -calculus.star(calculus.d(AM))
+    assert (rewritten - coexact).norm_inf() <= 1e-14 * coexact.norm_inf()
+    assert (calculus.d(AE) - calculus.d(dec.alpha)).norm_inf() == 0.0
 
 
 def test_charge_relations_worked_case(setup):

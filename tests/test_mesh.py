@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -29,14 +28,6 @@ def test_gridspec_validation():
         GridSpec(2, (64, 64), (TWO_PI, TWO_PI), (1, 2))  # bad signature
     with pytest.raises(ValueError):
         GridSpec(2, (64, 64), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=1.0, r=2.0)
-
-
-def test_manifest_round_trip():
-    spec = GridSpec(
-        2, (128, 128), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=2.0, r=1.0
-    )
-    again = GridSpec.from_manifest(json.dumps(spec.to_manifest()))
-    assert again == spec
 
 
 def test_flat_metric_arrays():
