@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import linalg as spla
 
 from .mesh import DiscreteForm, merge_sign
 
@@ -70,13 +69,36 @@ def sign_C(p, n, s):
 
 
 def partial(arr, axis, grid, order=DEFAULT_ORDER):
-    """Periodic central-difference partial derivative along one axis."""
+    """Periodic central-difference partial derivative along one axis.
+
+    out_i = sum_{j=1..m} c_j (x_{i+j} - x_{i-j}) / h with m = order/2, summed
+    in that order.  The array is padded once by wrapping m planes onto each
+    end (GridSpec keeps N >= 4 >= m), and every shifted x is a slice of it.
+    """
     coeffs = _STENCILS[order]
-    h = grid.steps[axis]
+    m = len(coeffs)
+    N = arr.shape[axis]
+    padded = np.concatenate(
+        (_axis_slice(arr, axis, N - m, N), arr, _axis_slice(arr, axis, 0, m)), axis=axis
+    )
     out = np.zeros_like(arr)
+    tmp = np.empty_like(arr)
     for j, c in enumerate(coeffs, start=1):
-        out += c * (np.roll(arr, -j, axis=axis) - np.roll(arr, j, axis=axis))
-    return out / h
+        np.subtract(
+            _axis_slice(padded, axis, m + j, m + j + N),
+            _axis_slice(padded, axis, m - j, m - j + N),
+            out=tmp,
+        )
+        tmp *= c
+        out += tmp
+    out /= grid.steps[axis]
+    return out
+
+
+def _axis_slice(arr, axis, start, stop):
+    index = [slice(None)] * arr.ndim
+    index[axis] = slice(start, stop)
+    return arr[tuple(index)]
 
 
 def d(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
@@ -90,7 +112,10 @@ def d(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
             if a in I:
                 continue
             K = tuple(sorted(I + (a,)))
-            out.components[K] += merge_sign((a,), I) * partial(comp, a, grid, order)
+            if merge_sign((a,), I) > 0:
+                out.components[K] += partial(comp, a, grid, order)
+            else:
+                out.components[K] -= partial(comp, a, grid, order)
     return out
 
 
@@ -174,7 +199,7 @@ def _component_weights(grid, p):
     """Positive diagonal weights of the metric pairing, per component."""
     weights = {}
     for I in grid.components_of_degree(p):
-        w = grid.sqrt_abs_g.copy()
+        w = grid.sqrt_abs_g
         for i in I:
             w = w / grid.metric_diag[i]
         weights[I] = w
@@ -239,6 +264,10 @@ def _l2(form):
 
 
 def _green_solve_curved(source, tol, max_iter, order, kernel):
+    # imported here: only this solve needs it, and it is most of the import
+    # time of the package
+    from scipy.sparse import linalg as spla
+
     grid = source.grid
     if grid.neg_count != 0:
         raise NotImplementedError("curved metrics are supported only for s = 0")

@@ -223,7 +223,7 @@ def _verify_decompose(args, report):
 
 
 def _verify_em(args, report):
-    basis2 = cohomology.build_basis(_grid(args, 4, args.metric, MINKOWSKI), 2)
+    basis2 = cohomology.build_basis(_grid(args, args.dim, args.metric, MINKOWSKI), 2)
     report.check("betti_2_even", basis2.betti % 2, 0.5)
     _em_pipeline(report, basis2, "mixed", _tol(args, 1e-7))
 
@@ -237,6 +237,13 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args, report):
+    if args.suite == "em" and args.dim not in (None, 4):
+        raise ValueError(
+            f"verify --suite em runs on the Minkowski 4-torus and needs --dim 4, "
+            f"got --dim {args.dim}"
+        )
+    if args.dim is None:
+        args.dim = 4 if args.suite == "em" else 2
     VERIFY_SUITES[args.suite](args, report)
 
 
@@ -393,7 +400,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a module invariant battery")
     p.add_argument("--suite", choices=list(VERIFY_SUITES), required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None, help="2 by default; 4 for --suite em")
     p.add_argument("--metric", choices=["flat", "embedded-torus"], default="flat")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)

@@ -18,6 +18,7 @@ from .mesh import DiscreteForm, integrate_cycle_mean
 class Decomposition:
     """phi = d(alpha) + delta(beta) + sum_a u_a gamma_a + residue.
 
+    exact and coexact are the terms the reconstruction used.
     reconstruction_error is |residue|_inf / |phi|_inf: the share of phi that
     the exact, coexact and topological terms leave unexplained.
     """
@@ -27,6 +28,8 @@ class Decomposition:
     u: np.ndarray
     residue: DiscreteForm
     reconstruction_error: float
+    exact: object  # d(alpha), or None
+    coexact: object  # delta(beta), or None
 
 
 def hodge_decompose(phi, basis, tol=1e-10, order=DEFAULT_ORDER, kernel_lo=None, kernel_hi=None):
@@ -41,26 +44,27 @@ def hodge_decompose(phi, basis, tol=1e-10, order=DEFAULT_ORDER, kernel_lo=None, 
     if basis.degree != p:
         raise ValueError("basis degree must match the form degree")
 
-    alpha = None
-    beta = None
+    alpha = beta = exact = coexact = None
     recon = grid.zeros(p)
     if p > 0:
         alpha, _ = calculus.green_solve(
             calculus.delta(phi, order), tol=tol, order=order, kernel=kernel_lo
         )
-        recon = recon + calculus.d(alpha, order)
+        exact = calculus.d(alpha, order)
+        recon = recon + exact
     if p < grid.dim:
         beta, _ = calculus.green_solve(
             calculus.d(phi, order), tol=tol, order=order, kernel=kernel_hi
         )
-        recon = recon + calculus.delta(beta, order)
+        coexact = calculus.delta(beta, order)
+        recon = recon + coexact
 
     u = _cycle_integrals(basis, phi)
     for a, g in enumerate(basis.gammas):
         recon = recon + g * u[a]
     residue = phi - recon
     err = residue.norm_inf() / max(phi.norm_inf(), 1e-300)
-    return Decomposition(alpha, beta, u, residue, err)
+    return Decomposition(alpha, beta, u, residue, err, exact, coexact)
 
 
 def coexact_potential(beta):
@@ -88,7 +92,10 @@ def dual_decompose(phi, dual_basis):
 
 
 def decomposition_residuals(phi, dec, basis, order=DEFAULT_ORDER):
-    """Gauge and residue residuals of a computed decomposition, normalized."""
+    """Gauge and residue residuals of a computed decomposition, normalized.
+
+    The cycle integrals of the exact and coexact terms are read from `dec`.
+    """
     scale = max(phi.norm_inf(), 1e-300)
     out = {}
     if dec.alpha is not None:
@@ -97,16 +104,14 @@ def decomposition_residuals(phi, dec, basis, order=DEFAULT_ORDER):
             if dec.alpha.degree > 0
             else 0.0
         )
-        out["cycle_of_exact"] = _max_abs(_cycle_integrals(basis, calculus.d(dec.alpha, order)))
+        out["cycle_of_exact"] = _max_abs(_cycle_integrals(basis, dec.exact))
     if dec.beta is not None:
         out["gauge_d_beta"] = (
             calculus.d(dec.beta, order).norm_inf() / scale
             if dec.beta.degree < phi.grid.dim
             else 0.0
         )
-        out["cycle_of_coexact"] = _max_abs(
-            _cycle_integrals(basis, calculus.delta(dec.beta, order))
-        )
+        out["cycle_of_coexact"] = _max_abs(_cycle_integrals(basis, dec.coexact))
     out["residue_norm"] = dec.residue.norm_inf() / scale
     out["residue_cycles"] = _max_abs(_cycle_integrals(basis, dec.residue))
     return out

@@ -142,7 +142,14 @@ def action(field, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
 
 
 def maxwell_residuals(field, JE, JM, mu0=1.0, order=DEFAULT_ORDER):
-    """Normalized residuals of d*F = mu0 *JE and dF = mu0 *JM."""
+    """Normalized residuals of d*F = mu0 *JE and dF = mu0 *JM.
+
+    With JE, JM = currents(F) both residuals are zero by construction:
+    currents() defines JE and JM from delta(F) and delta(*F), and on the
+    flat Minkowski metric star only permutes components and flips signs, so
+    this re-applies star-star and compares a field with itself exactly.  It
+    measures something only for currents obtained independently of F.
+    """
     F, mu0, _ = _unpack(field, mu0)
     scale = max(F.norm_inf(), 1e-300)
     r1 = (

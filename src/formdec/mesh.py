@@ -86,8 +86,12 @@ class GridSpec:
 class PeriodicGrid:
     """An n-torus sampling lattice with a diagonal, position-dependent metric.
 
-    `metric_diag[a]` holds the positive scale factor |g_aa| at every node;
-    the sign of g_aa is carried separately by `spec.signature`.
+    `metric_diag[a]` holds the positive scale factor |g_aa|; the sign of g_aa
+    is carried separately by `spec.signature`.  `metric_diag` and
+    `sqrt_abs_g` are stored with length-1 axes wherever the metric is
+    constant, and broadcast against the grid shape: `metric_diag` has shape
+    (n, 1, ..., 1) on flat grids and (2, 1, N_v) on the embedded torus, whose
+    metric varies along v only; `sqrt_abs_g` drops the leading axis.
     """
 
     def __init__(self, spec: GridSpec):
@@ -102,16 +106,18 @@ class PeriodicGrid:
         if np.any(self.metric_diag <= 0):
             raise ValueError("degenerate metric: scale factors must stay positive")
         self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
+        self.metric_diag.flags.writeable = False
+        self.sqrt_abs_g.flags.writeable = False
         self._symbol_cache = {}
 
     def _build_metric(self):
         n = self.spec.dim
         if self.spec.metric == "flat":
-            return np.ones((n,) + self.shape)
+            return np.ones((n,) + (1,) * n)
         # embedded-torus: g_uu = (R + r cos v)^2, g_vv = r^2
         R, r = self.spec.R, self.spec.r
-        v = self.coords[1]
-        g = np.empty((2,) + self.shape)
+        v = np.arange(self.shape[1]) * self.steps[1]
+        g = np.empty((2, 1, self.shape[1]))
         g[0] = (R + r * np.cos(v)) ** 2
         g[1] = r**2
         return g
@@ -138,7 +144,14 @@ class PeriodicGrid:
 
     def volume(self):
         """Metric volume of the torus, int_M sqrt|g| dx."""
-        return float(np.sum(self.sqrt_abs_g)) * self.cell_volume
+        return float(np.sum(self._full(self.sqrt_abs_g))) * self.cell_volume
+
+    def _full(self, factor):
+        """A contiguous grid-shaped copy of a broadcastable metric factor.
+
+        Sums over the copy run in the order of a full grid array.
+        """
+        return np.broadcast_to(factor, self.shape).copy()
 
     def components_of_degree(self, p):
         """Sorted index tuples keying degree-p components."""
@@ -163,7 +176,7 @@ class PeriodicGrid:
     def volume_form(self):
         """Top form with component sqrt|g| (the Riemannian/pseudo volume Omega)."""
         top = tuple(range(self.dim))
-        return DiscreteForm(self, self.dim, {top: self.sqrt_abs_g.copy()})
+        return DiscreteForm(self, self.dim, {top: self._full(self.sqrt_abs_g)})
 
     def unit_form(self):
         """Top form normalized so its manifold integral is one."""

@@ -209,3 +209,20 @@ def test_verify_decompose_higher_dims(capsys, dim):
     names = [c["name"] for c in doc["checks"]]
     assert names[-2:] == ["norm_budget", "cross_relation"]
     assert all(c["pass"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verify_em_rejects_other_dims(capsys, dim):
+    code = cli.main(["verify", "--suite", "em", "--dim", str(dim), "--grid", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--dim 4" in captured.err
+
+
+def test_verify_em_dim_4_is_the_default(capsys):
+    code, doc = run(capsys, ["verify", "--suite", "em", "--grid", "8"])
+    assert code == 0
+    code, explicit = run(capsys, ["verify", "--suite", "em", "--dim", "4", "--grid", "8"])
+    assert code == 0
+    assert explicit == doc
