@@ -4,12 +4,10 @@ Hodge decomposition with cohomology terms, the duality matrix system
 application on a Minkowski 4-torus."""
 
 from .mesh import (
-    CycleSpec,
     DiscreteForm,
     GridSpec,
     PeriodicGrid,
     build_grid,
-    integrate_cycle,
     integrate_cycle_mean,
     integrate_manifold,
     wedge,
@@ -58,7 +56,6 @@ from .taxonomy import (
 from .em import (
     ActionBreakdown,
     ChargeSet,
-    EmField,
     action,
     assemble_F,
     charge_relations,

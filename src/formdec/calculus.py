@@ -24,6 +24,7 @@ from .mesh import DiscreteForm, merge_sign
 
 DEFAULT_ORDER = 8
 DEFLATION_TOL = 1e-10
+MAX_MINRES_ITERS = 5000
 
 # central first-derivative coefficients for positive offsets 1..order/2
 _STENCILS = {
@@ -206,29 +207,10 @@ def _component_weights(grid, p):
     return weights
 
 
-def _orthonormalize(vectors, dot):
-    """Gram-Schmidt under `dot`, dropping vectors already in the span."""
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = v - b * dot(b, v)
-        nrm = math.sqrt(abs(dot(v, v)))
-        if nrm > 1e-14:
-            basis.append(v * (1.0 / nrm))
-    return basis
-
-
-def _remove_span(x, basis, dot):
-    """Project x off the span of an orthonormal basis."""
-    for b in basis:
-        x = x - b * dot(b, x)
-    return x
-
-
-def _green_solve_flat(source, tol, order, kernel):
+def _green_solve_flat(source, tol):
     grid = source.grid
     p = source.degree
-    sym = laplacian_symbol(grid, order)
+    sym = laplacian_symbol(grid)
     mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
     deflated = int(mask.sum()) * len(source.components)
     theta = grid.zeros(p)
@@ -240,20 +222,10 @@ def _green_solve_flat(source, tol, order, kernel):
             that = np.where(mask, 0.0, shat_proj / np.where(mask, 1.0, sym))
         theta.components[I][:] = np.fft.ifftn(that).real
         proj.components[I][:] = np.fft.ifftn(shat_proj).real
-    if kernel:
-        weights = _component_weights(grid, p)
-
-        def dot(f, g):
-            return sum(
-                float(np.sum(f.components[I] * g.components[I] * weights[I]))
-                for I in f.components
-            )
-
-        theta = _remove_span(theta, _orthonormalize(kernel, dot), dot)
     src_norm = _l2(source)
     if src_norm == 0.0:
         return theta, SolveReport(0, 0.0, deflated)
-    res = _l2(laplacian(theta, order) - proj) / src_norm
+    res = _l2(laplacian(theta) - proj) / src_norm
     if res > tol:
         raise GreenSolveError(f"flat Green solve residual {res:.3e} > {tol:.3e}", res, tol)
     return theta, SolveReport(1, res, deflated)
@@ -263,7 +235,7 @@ def _l2(form):
     return math.sqrt(sum(float(np.sum(a * a)) for a in form.components.values()))
 
 
-def _green_solve_curved(source, tol, max_iter, order, kernel):
+def _green_solve_curved(source, tol):
     # imported here: only this solve needs it, and it is most of the import
     # time of the package
     from scipy.sparse import linalg as spla
@@ -278,10 +250,6 @@ def _green_solve_curved(source, tol, max_iter, order, kernel):
     npts = int(np.prod(grid.shape))
     size = npts * len(comps)
 
-    kernel_forms = list(kernel) if kernel else []
-    if p == 0:
-        kernel_forms.append(grid.constant_form(0, {(): 1.0}))
-
     def to_vec(form):
         return np.concatenate(
             [(form.components[I] * sqw[I]).ravel() for I in comps]
@@ -295,18 +263,25 @@ def _green_solve_curved(source, tol, max_iter, order, kernel):
         return f
 
     def matvec(vec):
-        return to_vec(laplacian(to_form(vec), order))
+        return to_vec(laplacian(to_form(vec)))
 
-    # orthonormal kernel vectors in the symmetrized coordinates
-    kvecs = _orthonormalize([to_vec(kf) for kf in kernel_forms], np.dot)
+    # only the constant 0-form is deflated (as a unit vector in the
+    # symmetrized coordinates): the sources solved at higher degree, d or
+    # delta of a form, are already orthogonal to the harmonic forms
+    kvecs = []
+    if p == 0:
+        const = to_vec(grid.constant_form(0, {(): 1.0}))
+        kvecs.append(const * (1.0 / math.sqrt(np.dot(const, const))))
 
     def deflate(vec):
-        return _remove_span(vec, kvecs, np.dot)
+        for k in kvecs:
+            vec = vec - k * np.dot(k, vec)
+        return vec
 
     # preconditioner: flat symbol inverse; near-null modes are clipped to
     # the smallest invertible symbol so M stays positive definite without
     # wildly amplifying the (already deflated) kernel directions
-    abs_sym = np.abs(laplacian_symbol(grid, order))
+    abs_sym = np.abs(laplacian_symbol(grid))
     floor = float(np.min(abs_sym[abs_sym > DEFLATION_TOL * float(np.max(abs_sym))]))
     inv_sym = 1.0 / np.clip(abs_sym, floor, None)
 
@@ -341,16 +316,16 @@ def _green_solve_curved(source, tol, max_iter, order, kernel):
     for _ in range(6):
         try:
             x, _ = spla.minres(
-                A, b, M=M, rtol=rtol, maxiter=max_iter, x0=x, callback=cb
+                A, b, M=M, rtol=rtol, maxiter=MAX_MINRES_ITERS, x0=x, callback=cb
             )
         except TypeError:  # scipy < 1.12 spells the tolerance 'tol'
             x, _ = spla.minres(
-                A, b, M=M, tol=rtol, maxiter=max_iter, x0=x, callback=cb
+                A, b, M=M, tol=rtol, maxiter=MAX_MINRES_ITERS, x0=x, callback=cb
             )
         x = deflate(x)
         theta = to_form(x)
-        res = _l2(laplacian(theta, order) - to_form(b)) / _l2(source)
-        if res <= tol or iters[0] >= max_iter:
+        res = _l2(laplacian(theta) - to_form(b)) / _l2(source)
+        if res <= tol or iters[0] >= MAX_MINRES_ITERS:
             break
         rtol *= 1e-2
     if res > tol:
@@ -363,14 +338,13 @@ def _green_solve_curved(source, tol, max_iter, order, kernel):
     return theta, SolveReport(iters[0], res, len(kvecs))
 
 
-def green_solve(source, tol=1e-10, max_iter=5000, order=DEFAULT_ORDER, kernel=None):
+def green_solve(source, tol=1e-10):
     """Minimum-norm solve of (laplacian theta) = source with kernel deflation.
 
     The source is first projected off the operator's near-kernel
-    (constants and, in indefinite signature, discrete light-cone modes;
-    plus any forms passed in `kernel`, e.g. a cohomology basis).
+    (constants and, in indefinite signature, discrete light-cone modes).
     Returns (theta, SolveReport).
     """
     if source.grid.is_flat:
-        return _green_solve_flat(source, tol, order, kernel)
-    return _green_solve_curved(source, tol, max_iter, order, kernel)
+        return _green_solve_flat(source, tol)
+    return _green_solve_curved(source, tol)

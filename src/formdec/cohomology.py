@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .mesh import CycleSpec, integrate_cycle_mean, integrate_manifold, wedge
+from .mesh import integrate_cycle_mean, integrate_manifold, wedge
 
 PAIR_TOL = 1e-8
+EXPANSION_TOL = 1e-6
 
 
 class DualityError(calculus.NumericFailure):
@@ -36,7 +37,7 @@ class CohomologyBasis:
     degree: int
     betti: int
     gammas: list
-    cycles: list
+    cycles: list  # axis tuple of each coordinate cycle, one per gamma
     normalization_residual: float
     d_residual: float = 0.0
     delta_residual: float = 0.0
@@ -46,32 +47,32 @@ class CohomologyBasis:
         return self.gammas[0].grid
 
 
-def build_basis(grid, p, tol=1e-8, max_projections=3):
+def build_basis(grid, p):
     """Representative basis with cycle integrals normalized to the identity.
 
     Seeds are the constant coordinate forms; on curved metrics each seed
-    is harmonically projected (seed -> seed - d(G(delta seed))) until its
-    coderivative is below tolerance, then the whole set is renormalized
-    by the inverse of the cycle-integral matrix.
+    is harmonically projected (seed -> seed - d(G(delta seed))) at most
+    three times, until its coderivative is below 1e-8 relative, then the
+    whole set is renormalized by the inverse of the cycle-integral matrix.
     """
-    cycles = [CycleSpec(axes=I) for I in grid.components_of_degree(p)]
+    cycles = grid.components_of_degree(p)
     betti = len(cycles)
     gammas = []
     for z in cycles:
         # closed constant seed dx^I / prod(periods)
-        scale = 1.0 / math.prod(grid.spec.periods[a] for a in z.axes)
-        gamma = grid.constant_form(p, {z.axes: scale})
+        scale = 1.0 / math.prod(grid.spec.periods[a] for a in z)
+        gamma = grid.constant_form(p, {z: scale})
         if p >= 1 and not grid.is_flat:
-            for _ in range(max_projections):
+            for _ in range(3):
                 rough = calculus.delta(gamma)
-                if rough.norm_inf() <= tol * max(gamma.norm_inf(), 1e-300):
+                if rough.norm_inf() <= 1e-8 * max(gamma.norm_inf(), 1e-300):
                     break
-                alpha, _ = calculus.green_solve(rough, tol=min(tol, 1e-9))
+                alpha, _ = calculus.green_solve(rough, tol=1e-9)
                 gamma = gamma - calculus.d(alpha)
         gammas.append(gamma)
 
     def cycle_matrix(forms):
-        return np.array([[integrate_cycle_mean(g, z.axes) for z in cycles] for g in forms])
+        return np.array([[integrate_cycle_mean(g, z) for z in cycles] for g in forms])
 
     cyc_matrix = cycle_matrix(gammas)
     if abs(np.linalg.det(cyc_matrix)) < 1e-12:
@@ -96,11 +97,11 @@ def build_basis(grid, p, tol=1e-8, max_projections=3):
     return CohomologyBasis(p, betti, normalized, cycles, norm_res, d_res, delta_res)
 
 
-def matrix_E(basis_p, basis_q, pair_tol=PAIR_TOL):
+def matrix_E(basis_p, basis_q):
     """Intersection matrix E_ab = int_M gamma^p_a wedge gamma^{n-p}_b, plus P.
 
     P is derived from the one-nonzero-per-row rule; an unresolved row
-    (two entries above pair_tol relative to the row maximum) is an error.
+    (two entries above PAIR_TOL relative to the row maximum) is an error.
     """
     grid = basis_p.grid
     if basis_p.degree + basis_q.degree != grid.dim:
@@ -117,22 +118,22 @@ def matrix_E(basis_p, basis_q, pair_tol=PAIR_TOL):
         row = np.abs(E[a])
         top = row.max()
         if top == 0.0:
-            raise DualityError(f"row {a} of E is identically zero", 1.0, pair_tol)
-        big = np.flatnonzero(row > pair_tol * top)
+            raise DualityError(f"row {a} of E is identically zero", 1.0, PAIR_TOL)
+        big = np.flatnonzero(row > PAIR_TOL * top)
         if len(big) != 1:
             raise DualityError(
                 f"duality not resolved at this resolution: row {a} has "
                 f"{len(big)} entries above tolerance",
                 float(np.sort(row)[-2] / top),
-                pair_tol,
+                PAIR_TOL,
             )
         P[a] = big[0]
     if sorted(P) != list(range(beta)):
-        raise DualityError("pairing permutation is not a bijection", 1.0, pair_tol)
+        raise DualityError("pairing permutation is not a bijection", 1.0, PAIR_TOL)
     return E, P
 
 
-def matrix_T(basis_p, basis_dual, expansion_tol=1e-6):
+def matrix_T(basis_p, basis_dual):
     """Star-transfer matrix T^{(n-p)}_ab = cycle integral of star(gamma^p_a).
 
     Also verifies the expansion star(gamma_a) = sum_b T_ab gamma^{n-p}_b,
@@ -143,7 +144,7 @@ def matrix_T(basis_p, basis_dual, expansion_tol=1e-6):
         raise ValueError("matrix_T needs complementary degrees")
     stars = [calculus.star(g) for g in basis_p.gammas]
     T = np.array(
-        [[integrate_cycle_mean(sg, z.axes) for z in basis_dual.cycles] for sg in stars]
+        [[integrate_cycle_mean(sg, z) for z in basis_dual.cycles] for sg in stars]
     )
     worst = 0.0
     for a, sg in enumerate(stars):
@@ -152,12 +153,12 @@ def matrix_T(basis_p, basis_dual, expansion_tol=1e-6):
             recon = recon + gb * T[a, b]
         scale = max(sg.norm_inf(), 1e-300)
         worst = max(worst, (sg - recon).norm_inf() / scale)
-    if worst > expansion_tol:
+    if worst > EXPANSION_TOL:
         raise StarExpansionError(
-            f"star expansion residual {worst:.3e} exceeds {expansion_tol:.1e}: "
+            f"star expansion residual {worst:.3e} exceeds {EXPANSION_TOL:.1e}: "
             "basis not strong harmonic enough",
             worst,
-            expansion_tol,
+            EXPANSION_TOL,
         )
     return T
 
@@ -220,7 +221,7 @@ def verify_triple(E, T, Lam, D_parity, T_p=None):
     return CheckReport(tt, et, lel, lam_sym, reality, det_T)
 
 
-def verify_pair(basis_p, basis_dual, pair_tol=PAIR_TOL):
+def verify_pair(basis_p, basis_dual):
     """verify_triple on a complementary basis pair, plus E's transpose rule.
 
     Returns (matrices, residuals).  The residuals are tt, et, lambda_sym
@@ -230,8 +231,8 @@ def verify_pair(basis_p, basis_dual, pair_tol=PAIR_TOL):
     grid = basis_p.grid
     n, p = grid.dim, basis_p.degree
     Dpar = calculus.sign_D(p, n, grid.neg_count)
-    E_p, P = matrix_E(basis_p, basis_dual, pair_tol)
-    E_q, _ = matrix_E(basis_dual, basis_p, pair_tol)
+    E_p, P = matrix_E(basis_p, basis_dual)
+    E_q, _ = matrix_E(basis_dual, basis_p)
     T_dual = matrix_T(basis_p, basis_dual)  # T^{(n-p)}
     T_p = matrix_T(basis_dual, basis_p)  # T^{(p)}
     Lam = matrix_Lambda(basis_p)

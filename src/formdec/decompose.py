@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .calculus import DEFAULT_ORDER, sign_C, sign_D
+from .calculus import sign_C, sign_D
 from .mesh import DiscreteForm, integrate_cycle_mean
 
 
@@ -32,12 +32,13 @@ class Decomposition:
     coexact: object  # delta(beta), or None
 
 
-def hodge_decompose(phi, basis, tol=1e-10, order=DEFAULT_ORDER, kernel_lo=None, kernel_hi=None):
+def hodge_decompose(phi, basis):
     """Decompose a p-form against a degree-p representative basis.
 
     alpha solves Delta(alpha) = delta(phi) at degree p-1, beta solves
-    Delta(beta) = d(phi) at degree p+1, u holds the cycle integrals of
-    phi, and the residue is whatever remains after subtraction.
+    Delta(beta) = d(phi) at degree p+1 (Green solves to 1e-10), u holds
+    the cycle integrals of phi, and the residue is whatever remains after
+    subtraction.
     """
     grid = phi.grid
     p = phi.degree
@@ -47,16 +48,12 @@ def hodge_decompose(phi, basis, tol=1e-10, order=DEFAULT_ORDER, kernel_lo=None, 
     alpha = beta = exact = coexact = None
     recon = grid.zeros(p)
     if p > 0:
-        alpha, _ = calculus.green_solve(
-            calculus.delta(phi, order), tol=tol, order=order, kernel=kernel_lo
-        )
-        exact = calculus.d(alpha, order)
+        alpha, _ = calculus.green_solve(calculus.delta(phi))
+        exact = calculus.d(alpha)
         recon = recon + exact
     if p < grid.dim:
-        beta, _ = calculus.green_solve(
-            calculus.d(phi, order), tol=tol, order=order, kernel=kernel_hi
-        )
-        coexact = calculus.delta(beta, order)
+        beta, _ = calculus.green_solve(calculus.d(phi))
+        coexact = calculus.delta(beta)
         recon = recon + coexact
 
     u = _cycle_integrals(basis, phi)
@@ -91,7 +88,7 @@ def dual_decompose(phi, dual_basis):
     return _cycle_integrals(dual_basis, calculus.star(phi))
 
 
-def decomposition_residuals(phi, dec, basis, order=DEFAULT_ORDER):
+def decomposition_residuals(phi, dec, basis):
     """Gauge and residue residuals of a computed decomposition, normalized.
 
     The cycle integrals of the exact and coexact terms are read from `dec`.
@@ -100,14 +97,14 @@ def decomposition_residuals(phi, dec, basis, order=DEFAULT_ORDER):
     out = {}
     if dec.alpha is not None:
         out["gauge_delta_alpha"] = (
-            calculus.delta(dec.alpha, order).norm_inf() / scale
+            calculus.delta(dec.alpha).norm_inf() / scale
             if dec.alpha.degree > 0
             else 0.0
         )
         out["cycle_of_exact"] = _max_abs(_cycle_integrals(basis, dec.exact))
     if dec.beta is not None:
         out["gauge_d_beta"] = (
-            calculus.d(dec.beta, order).norm_inf() / scale
+            calculus.d(dec.beta).norm_inf() / scale
             if dec.beta.degree < phi.grid.dim
             else 0.0
         )
@@ -119,7 +116,7 @@ def decomposition_residuals(phi, dec, basis, order=DEFAULT_ORDER):
 
 def _cycle_integrals(basis, form):
     """Offset-averaged integrals of form over the basis cycles."""
-    return np.array([integrate_cycle_mean(form, z.axes) for z in basis.cycles])
+    return np.array([integrate_cycle_mean(form, z) for z in basis.cycles])
 
 
 def _max_abs(x):
@@ -164,7 +161,7 @@ class NormBreakdown:
         return abs(self.total - self.direct_norm) / max(1.0, abs(self.direct_norm))
 
 
-def norm_decompose(phi, dec, v, E, P, order=DEFAULT_ORDER):
+def norm_decompose(phi, dec, v, E, P):
     """Quantized norm budget of a decomposed p-form.
 
     The topological term is the discrete sum over duality pairs,
@@ -178,15 +175,15 @@ def norm_decompose(phi, dec, v, E, P, order=DEFAULT_ORDER):
 
     exact = 0.0
     if dec.alpha is not None:
-        exact = calculus.pairing(dec.alpha, calculus.delta(phi, order))
+        exact = calculus.pairing(dec.alpha, calculus.delta(phi))
     coexact = 0.0
     if dec.beta is not None:
         if n % 2 == 0 and p == n // 2:
             coexact = ((-1.0) ** s) * calculus.pairing(
-                coexact_potential(dec.beta), calculus.delta(calculus.star(phi), order)
+                coexact_potential(dec.beta), calculus.delta(calculus.star(phi))
             )
         else:
-            coexact = calculus.pairing(dec.beta, calculus.d(phi, order))
+            coexact = calculus.pairing(dec.beta, calculus.d(phi))
     topological = topological_sum(E, P, dec.u, v)
     residue_term = calculus.pairing(dec.residue, dec.residue)
     total = exact + coexact + topological + residue_term
@@ -204,14 +201,15 @@ def sigma2():
     return np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def compact_assemble(alpha, beta, u, v, basis, check_tol=1e-8, order=DEFAULT_ORDER):
+def compact_assemble(alpha, beta, u, v, basis):
     """Assemble (phi, star phi) at the middle degree from the block form.
 
         [phi; star phi] = [sigma1 d + sigma2 (star d)] [alpha; beta]
                           + sum_a [u_a; v_a] gamma_a
 
     alpha and beta are (m-1)-forms.  The second slot is verified against
-    star(first slot), which requires v consistent with u (v = T^t u).
+    star(first slot) to 1e-8, which requires v consistent with u (v = T^t u);
+    a mismatch is a ValueError.
     """
     grid = basis.grid
     n = grid.dim
@@ -223,8 +221,8 @@ def compact_assemble(alpha, beta, u, v, basis, check_tol=1e-8, order=DEFAULT_ORD
     Dpar = sign_D(m, n, grid.neg_count)
     s1 = sigma1(Dpar)
     s2 = sigma2()
-    da = calculus.d(alpha, order)
-    db = calculus.d(beta, order)
+    da = calculus.d(alpha)
+    db = calculus.d(beta)
     sda = calculus.star(da)
     sdb = calculus.star(db)
     phi = da * s1[0, 0] + db * s1[0, 1] + sda * s2[0, 0] + sdb * s2[0, 1]
@@ -232,12 +230,10 @@ def compact_assemble(alpha, beta, u, v, basis, check_tol=1e-8, order=DEFAULT_ORD
     for a, g in enumerate(basis.gammas):
         phi = phi + g * float(u[a])
         sphi = sphi + g * float(v[a])
-    if check_tol is not None:
-        mismatch = (calculus.star(phi) - sphi).norm_inf()
-        scale = max(phi.norm_inf(), 1.0)
-        if mismatch > check_tol * scale:
-            raise ValueError(
-                f"second slot is not star(first): mismatch {mismatch:.3e} "
-                "(u and v are inconsistent)"
-            )
+    mismatch = (calculus.star(phi) - sphi).norm_inf()
+    if mismatch > 1e-8 * max(phi.norm_inf(), 1.0):
+        raise ValueError(
+            f"second slot is not star(first): mismatch {mismatch:.3e} "
+            "(u and v are inconsistent)"
+        )
     return phi, sphi

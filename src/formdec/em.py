@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus, decompose
-from .calculus import DEFAULT_ORDER
-from .mesh import DiscreteForm, integrate_cycle_mean
+from .mesh import integrate_cycle_mean
 
 
 def require_minkowski(grid):
@@ -23,15 +22,6 @@ def require_minkowski(grid):
         raise ValueError(
             "electromagnetic field needs a flat 4-torus with signature (-1,1,1,1)"
         )
-
-
-@dataclass
-class EmField:
-    """A 2-form F in MTW layout plus its unit constants."""
-
-    F: DiscreteForm
-    mu0: float = 1.0
-    c: float = 1.0
 
 
 @dataclass
@@ -53,11 +43,11 @@ class ActionBreakdown:
         return abs(self.total - self.lagrangian_total)
 
 
-def assemble_F(Efield, Bfield, grid, c=1.0, mu0=1.0):
+def assemble_F(Efield, Bfield, grid, c=1.0):
     """Build F from per-point E and B arrays (3 each) in MTW conventions.
 
     F_{0i} = -E_i/c on the (0,i) pairs; B fills the spatial pairs as
-    F_{23} = B1, F_{13} = -B2, F_{12} = B3.
+    F_{23} = B1, F_{13} = -B2, F_{12} = B3.  Returns the 2-form F.
     """
     require_minkowski(grid)
     F = grid.zeros(2)
@@ -66,44 +56,34 @@ def assemble_F(Efield, Bfield, grid, c=1.0, mu0=1.0):
     F.components[(2, 3)] += np.asarray(Bfield[0], dtype=float)
     F.components[(1, 3)] += -np.asarray(Bfield[1], dtype=float)
     F.components[(1, 2)] += np.asarray(Bfield[2], dtype=float)
-    return EmField(F, mu0=mu0, c=c)
+    return F
 
 
-def _unpack(field, mu0=1.0, c=1.0):
-    """(F, mu0, c); an EmField carries its own unit constants."""
-    if isinstance(field, EmField):
-        return field.F, field.mu0, field.c
-    return field, mu0, c
-
-
-def charges(field, basis2, mu0=1.0, c=1.0):
+def charges(F, basis2, mu0=1.0, c=1.0):
     """Topological charges: mu0 c qM_a = int_{z_a} F, mu0 c qE_a = int_{z_a} *F.
 
     These are the cycle integrals u and dual integrals v of F at p = 2.
     """
-    F, mu0, c = _unpack(field, mu0, c)
-    qM = np.array([integrate_cycle_mean(F, z.axes) for z in basis2.cycles])
+    qM = np.array([integrate_cycle_mean(F, z) for z in basis2.cycles])
     return ChargeSet(qM / (mu0 * c), decompose.dual_decompose(F, basis2) / (mu0 * c))
 
 
-def currents(field, mu0=1.0, order=DEFAULT_ORDER):
+def currents(F, mu0=1.0):
     """Continuous sources: JE = delta(F)/mu0, JM = -delta(*F)/mu0."""
-    F, mu0, _ = _unpack(field, mu0)
-    JE = calculus.delta(F, order) * (1.0 / mu0)
-    JM = calculus.delta(calculus.star(F), order) * (-1.0 / mu0)
+    JE = calculus.delta(F) * (1.0 / mu0)
+    JM = calculus.delta(calculus.star(F)) * (-1.0 / mu0)
     return JE, JM
 
 
-def potentials(field, basis2, tol=1e-10, order=DEFAULT_ORDER):
+def potentials(F, basis2):
     """Double potential (AE, AM) plus the underlying decomposition.
 
     The Hodge decomposition of F at p = 2 gives AE = alpha; its coexact
     part delta(beta) is rewritten as -star(d AM) with AM = coexact_potential(beta).
     Reconstruction: F = d AE - star(d AM) + sum_a u_a gamma_a + residue.
     """
-    F = _unpack(field)[0]
     require_minkowski(F.grid)
-    dec = decompose.hodge_decompose(F, basis2, tol=tol, order=order)
+    dec = decompose.hodge_decompose(F, basis2)
     return dec.alpha, decompose.coexact_potential(dec.beta), dec
 
 
@@ -122,13 +102,12 @@ def charge_relations(qM, qE, T2):
     }
 
 
-def action(field, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
+def action(F, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
     """Quantized action budget.
 
     S = -(2/c)(AE,JE) - (2/c)(AM,JM) - mu0 c sum_a eps_{a,P(a)} qM_a qE_{P(a)},
     cross-checked against S = -(1/mu0 c)(F,F) - (1/c)(AE,JE) - (1/c)(AM,JM).
     """
-    F, mu0, c = _unpack(field, mu0, c)
     pe = calculus.pairing(AE, JE)
     pm = calculus.pairing(AM, JM)
     s_d = -mu0 * c * decompose.topological_sum(E2, P, charge_set.qM, charge_set.qE)
@@ -141,7 +120,7 @@ def action(field, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
     return ActionBreakdown(electric, magnetic, s_d, total, lagrangian)
 
 
-def maxwell_residuals(field, JE, JM, mu0=1.0, order=DEFAULT_ORDER):
+def maxwell_residuals(F, JE, JM, mu0=1.0):
     """Normalized residuals of d*F = mu0 *JE and dF = mu0 *JM.
 
     With JE, JM = currents(F) both residuals are zero by construction:
@@ -150,12 +129,9 @@ def maxwell_residuals(field, JE, JM, mu0=1.0, order=DEFAULT_ORDER):
     this re-applies star-star and compares a field with itself exactly.  It
     measures something only for currents obtained independently of F.
     """
-    F, mu0, _ = _unpack(field, mu0)
     scale = max(F.norm_inf(), 1e-300)
-    r1 = (
-        calculus.d(calculus.star(F), order) - calculus.star(JE) * mu0
-    ).norm_inf() / scale
-    r2 = (calculus.d(F, order) - calculus.star(JM) * mu0).norm_inf() / scale
+    r1 = (calculus.d(calculus.star(F)) - calculus.star(JE) * mu0).norm_inf() / scale
+    r2 = (calculus.d(F) - calculus.star(JM) * mu0).norm_inf() / scale
     return {"electric": r1, "magnetic": r2}
 
 

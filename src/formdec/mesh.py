@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,27 +252,6 @@ class DiscreteForm:
         )
 
 
-@dataclass(frozen=True)
-class CycleSpec:
-    """A coordinate sub-torus: spanned axes plus a fixed offset per other axis."""
-
-    axes: tuple
-    offsets: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
-        object.__setattr__(self, "offsets", tuple(self.offsets))
-        if list(self.axes) != sorted(set(self.axes)):
-            raise ValueError("cycle axes must be strictly increasing and distinct")
-
-    def offset_map(self, dim):
-        others = [a for a in range(dim) if a not in self.axes]
-        offs = self.offsets if self.offsets else (0,) * len(others)
-        if len(offs) != len(others):
-            raise ValueError("need one offset per non-spanned axis")
-        return dict(zip(others, offs))
-
-
 def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:
     """Pointwise exterior product with standard permutation signs."""
     if a.grid is not b.grid:
@@ -303,30 +282,15 @@ def integrate_manifold(f: DiscreteForm) -> float:
     return float(np.sum(f.components[top])) * f.grid.cell_volume
 
 
-def integrate_cycle(f: DiscreteForm, z: CycleSpec) -> float:
-    """Rectangle-rule integral of the pullback of f onto the cycle sub-torus."""
-    if len(z.axes) != f.degree:
-        raise ValueError(
-            f"cycle spans {len(z.axes)} axes but the form has degree {f.degree}"
-        )
-    grid = f.grid
-    comp = f.components[z.axes]
-    indexer = [slice(None)] * grid.dim
-    for axis, off in z.offset_map(grid.dim).items():
-        if not 0 <= off < grid.shape[axis]:
-            raise ValueError(f"offset {off} out of range on axis {axis}")
-        indexer[axis] = off
-    patch = comp[tuple(indexer)]
-    step = math.prod(grid.steps[a] for a in z.axes)
-    return float(np.sum(patch)) * step
-
-
 def integrate_cycle_mean(f: DiscreteForm, axes) -> float:
-    """Cycle integral averaged over all offsets of the non-spanned axes.
+    """Cycle integral over the coordinate sub-torus spanned by `axes`,
+    averaged over all offsets of the other axes (periodic rectangle rule).
 
-    For closed forms this equals the fixed-offset integral; for general
-    forms it is the duality-consistent value (derivatives along offset
-    axes telescope to zero exactly on the periodic lattice).
+    For a closed form the integral does not depend on the offset, so this
+    is its cycle integral.  It annihilates exact forms d(a): summed over the
+    periodic lattice, their stencil derivatives telescope to zero (up to
+    rounding).  For a general form it is only an average: on a curved metric
+    it does not annihilate the coexact part.
     """
     axes = tuple(axes)
     if len(axes) != f.degree:

@@ -31,17 +31,17 @@ def setup(t4_mink):
 def test_assemble_uniform_magnetic(setup):
     grid, basis2, E2, P, T2 = setup
     zero = np.zeros(grid.shape)
-    fld = assemble_F([zero] * 3, [np.ones(grid.shape), zero, zero], grid)
-    assert np.all(fld.F.components[(2, 3)] == 1.0)
-    assert fld.F.norm_inf() == 1.0
+    F = assemble_F([zero] * 3, [np.ones(grid.shape), zero, zero], grid)
+    assert np.all(F.components[(2, 3)] == 1.0)
+    assert F.norm_inf() == 1.0
 
 
 def test_assemble_uniform_electric_sign(setup):
     grid, basis2, E2, P, T2 = setup
     zero = np.zeros(grid.shape)
     e1 = np.full(grid.shape, 2.0)
-    fld = assemble_F([e1, zero, zero], [zero] * 3, grid, c=2.0)
-    assert np.all(fld.F.components[(0, 1)] == -1.0)  # -E1/c
+    F = assemble_F([e1, zero, zero], [zero] * 3, grid, c=2.0)
+    assert np.all(F.components[(0, 1)] == -1.0)  # -E1/c
 
 
 def test_assemble_rejects_wrong_grid(t2_flat):

@@ -1,0 +1,74 @@
+"""The exterior-calculus identities over generated grids.
+
+star star = (-1)^D, dd = 0, delta delta = 0 and the adjointness
+(d c, a) = (c, delta a) at every degree, on the generated grids of
+test_stencil_properties, with the bounds of `formdec verify --suite core`.
+
+delta delta = 0 holds to that bound on flat grids only.  On the embedded
+torus its residual is the rounding of dd on star(f) = f / sqrt|g|, which
+grows as 1 / (min sqrt|g| h)^2 relative to |f|, and for small r with R/r
+near 1 it exceeds the bound; test_delta_delta_embedded_small_r records
+the smallest such case Hypothesis found.
+"""
+
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from formdec import GridSpec, build_grid, calculus
+from test_stencil_properties import FAST, any_grids, flat_grids, random_form
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def rel(residual, f):
+    return residual.norm_inf() / max(f.norm_inf(), 1e-300)
+
+
+def delta_delta_residual(grid, seed):
+    forms = [random_form(grid, p, seed) for p in range(2, grid.dim + 1)]
+    return max((rel(calculus.delta(calculus.delta(f)), f) for f in forms), default=0.0)
+
+
+@FAST
+@given(grid=any_grids(), seed=SEEDS)
+def test_star_star_sign(grid, seed):
+    for p in range(grid.dim + 1):
+        f = random_form(grid, p, seed)
+        sgn = -1.0 if calculus.sign_D(p, grid.dim, grid.neg_count) else 1.0
+        assert rel(calculus.star(calculus.star(f)) - f * sgn, f) <= 1e-12
+
+
+@FAST
+@given(grid=any_grids(), seed=SEEDS)
+def test_dd_vanishes(grid, seed):
+    for p in range(grid.dim - 1):
+        f = random_form(grid, p, seed)
+        assert rel(calculus.d(calculus.d(f)), f) <= 1e-10
+
+
+@FAST
+@given(grid=flat_grids(), seed=SEEDS)
+def test_delta_delta_vanishes(grid, seed):
+    assert delta_delta_residual(grid, seed) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="delta delta rounding on a thin embedded torus")
+def test_delta_delta_embedded_small_r():
+    grid = build_grid(
+        GridSpec(2, (4, 12), (2 * math.pi,) * 2, (1, 1), "embedded-torus", 0.1125, 0.1)
+    )
+    assert delta_delta_residual(grid, 0) <= 1e-10
+
+
+@FAST
+@given(grid=any_grids(), seed=SEEDS)
+def test_adjointness(grid, seed):
+    for p in range(grid.dim):
+        c = random_form(grid, p, seed)
+        a = random_form(grid, p + 1, seed + 7)
+        lhs = calculus.pairing(calculus.d(c), a)
+        rhs = calculus.pairing(c, calculus.delta(a))
+        assert abs(lhs - rhs) <= 1e-8

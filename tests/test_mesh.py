@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from formdec import (
-    CycleSpec,
     GridSpec,
     build_grid,
-    integrate_cycle,
     integrate_cycle_mean,
     integrate_manifold,
     wedge,
@@ -15,6 +13,18 @@ from formdec import (
 from formdec import calculus
 
 TWO_PI = 2.0 * math.pi
+
+
+def cycle_at_offset(f, axes, offsets):
+    """Rectangle-rule integral over the cycle spanned by `axes` through the
+    given offsets of the other axes: a sum over one slice of the component."""
+    grid = f.grid
+    index = [slice(None)] * grid.dim
+    others = [a for a in range(grid.dim) if a not in axes]
+    for axis, off in zip(others, offsets):
+        index[axis] = off
+    step = math.prod(grid.steps[a] for a in axes)
+    return float(np.sum(f.components[tuple(axes)][tuple(index)])) * step
 
 
 def test_gridspec_validation():
@@ -97,14 +107,14 @@ def test_integrate_zero_form_rejected(t2_flat):
 
 def test_cycle_integrals(t2_flat):
     g1 = t2_flat.constant_form(1, {(0,): 1.0 / TWO_PI})
-    assert abs(integrate_cycle(g1, CycleSpec(axes=(0,))) - 1.0) < 1e-12
-    assert abs(integrate_cycle(g1, CycleSpec(axes=(1,)))) < 1e-12
+    assert abs(integrate_cycle_mean(g1, (0,)) - 1.0) < 1e-12
+    assert abs(integrate_cycle_mean(g1, (1,))) < 1e-12
 
 
 def test_cycle_degree_mismatch(t2_flat):
     du = t2_flat.constant_form(1, {(0,): 1.0})
     with pytest.raises(ValueError):
-        integrate_cycle(du, CycleSpec(axes=(0, 1)))
+        integrate_cycle_mean(du, (0, 1))
 
 
 def test_cycle_offset_independence_for_closed_forms(t2_flat):
@@ -112,10 +122,10 @@ def test_cycle_offset_independence_for_closed_forms(t2_flat):
     scalar = t2_flat.zeros(0)
     scalar.components[()][:] = np.sin(t2_flat.coords[0]) * np.cos(t2_flat.coords[1])
     phi = calculus.d(scalar) + t2_flat.constant_form(1, {(0,): 0.7, (1,): -0.3})
-    vals = [
-        integrate_cycle(phi, CycleSpec(axes=(0,), offsets=(off,))) for off in (0, 17, 40)
-    ]
+    vals = [cycle_at_offset(phi, (0,), (off,)) for off in (0, 17, 40)]
     assert max(vals) - min(vals) < 1e-8 * phi.norm_inf() * 64
+    # the offset average is then the cycle integral
+    assert abs(integrate_cycle_mean(phi, (0,)) - vals[0]) < 1e-8 * phi.norm_inf() * 64
 
 
 def test_cycle_mean_annihilates_exact_and_coexact(t2_flat):
@@ -138,5 +148,4 @@ def test_stokes_annihilation_fixed_offset(t2_flat):
 
     da = calculus.d(fields.random_trig_form(t2_flat, 0, rng))
     for axes in ((0,), (1,)):
-        z = CycleSpec(axes=axes, offsets=(5,))
-        assert abs(integrate_cycle(da, z)) < 1e-10
+        assert abs(cycle_at_offset(da, axes, (5,))) < 1e-10
