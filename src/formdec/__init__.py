@@ -11,6 +11,7 @@ from .mesh import (
     integrate_cycle_mean,
     integrate_manifold,
     wedge,
+    wedge_integral,
 )
 from .calculus import (
     GreenSolveError,

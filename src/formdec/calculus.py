@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DiscreteForm, merge_sign
+from .mesh import DiscreteForm, merge_sign, wedge_integral
 
 DEFAULT_ORDER = 8
 DEFLATION_TOL = 1e-10
@@ -160,11 +160,9 @@ def laplacian(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
 
 def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
     """Bilinear integral (a, b) = int_M a wedge star(b); symmetric."""
-    from .mesh import integrate_manifold, wedge
-
     if a.degree != b.degree:
         raise ValueError("pairing needs forms of equal degree")
-    return integrate_manifold(wedge(a, star(b)))
+    return wedge_integral(a, star(b))
 
 
 # ---------------------------------------------------------------------------

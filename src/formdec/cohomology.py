@@ -1,20 +1,21 @@
 """Normalized cohomology representative bases and the duality matrices.
 
 Builds the strong-harmonic representative set for each degree, normalized
-so cycle integrals give the identity, then fills the intersection matrix E,
-the star-transfer matrix T, the Gram matrix Lambda and the duality
-permutation P, and checks the exact identities relating them.
+so cycle integrals give the identity, linked to its dual basis by the
+intersection matrix E and the duality permutation P, which also read off
+harmonic coefficients; then fills the star-transfer matrix T and the Gram
+matrix Lambda, and checks the exact identities relating them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import calculus
-from .mesh import integrate_cycle_mean, integrate_manifold, wedge
+from .mesh import integrate_cycle_mean, wedge_integral
 
 PAIR_TOL = 1e-8
 EXPANSION_TOL = 1e-6
@@ -34,6 +35,12 @@ class StarExpansionError(calculus.NumericFailure):
 
 @dataclass
 class CohomologyBasis:
+    """Harmonic representatives gamma_a of degree p, one per coordinate cycle.
+
+    build_basis also links the degree-(n-p) basis, dual, and sets
+    E, P = matrix_E(self, dual).
+    """
+
     degree: int
     betti: int
     gammas: list
@@ -41,19 +48,60 @@ class CohomologyBasis:
     normalization_residual: float
     d_residual: float = 0.0
     delta_residual: float = 0.0
+    E: np.ndarray = field(init=False, repr=False, compare=False)
+    P: np.ndarray = field(init=False, repr=False, compare=False)
+    # None at the middle degree: a reference to itself would keep the basis
+    # alive until the cycle collector runs
+    _dual: CohomologyBasis = field(init=False, repr=False, compare=False)
 
     @property
     def grid(self):
         return self.gammas[0].grid
 
+    @property
+    def dual(self):
+        """The degree-(n-p) basis; the basis itself at the middle degree."""
+        return self if self._dual is None else self._dual
+
+    def coefficients(self, form):
+        """Harmonic coefficients c of form = d(a) + delta(b) + sum_a c_a gamma_a.
+
+        Solves E^t c = W with W_b = int form wedge dual.gammas[b] (Poincare
+        duality).  The dual forms are closed, so they pair to zero with the
+        exact part, and their stars are harmonic, so they pair to zero with
+        the coexact part; this holds on any metric.
+        """
+        if form.degree != self.degree:
+            raise ValueError("form degree must match the basis degree")
+        W = np.array([wedge_integral(form, g) for g in self.dual.gammas])
+        return np.linalg.solve(self.E.T, W)
+
 
 def build_basis(grid, p):
+    """Degree-p representative basis, linked to its degree-(n-p) dual.
+
+    Both bases are built by _harmonic_basis (the dual is the basis itself at
+    the middle degree), and each gets its dual and its E, P against it.
+    """
+    basis = _harmonic_basis(grid, p)
+    basis._dual = None
+    if 2 * p != grid.dim:
+        dual = _harmonic_basis(grid, grid.dim - p)
+        basis._dual, dual._dual = dual, basis
+        dual.E, dual.P = matrix_E(dual, basis)
+    basis.E, basis.P = matrix_E(basis, basis.dual)
+    return basis
+
+
+def _harmonic_basis(grid, p):
     """Representative basis with cycle integrals normalized to the identity.
 
     Seeds are the constant coordinate forms; on curved metrics each seed
     is harmonically projected (seed -> seed - d(G(delta seed))) at most
-    three times, until its coderivative is below 1e-8 relative, then the
+    three times, until its coderivative is below 1e-12 relative, then the
     whole set is renormalized by the inverse of the cycle-integral matrix.
+    The coefficients read off a dual basis are off by about that residual
+    times the coexact part of the form, hence the tight bound.
     """
     cycles = grid.components_of_degree(p)
     betti = len(cycles)
@@ -65,9 +113,9 @@ def build_basis(grid, p):
         if p >= 1 and not grid.is_flat:
             for _ in range(3):
                 rough = calculus.delta(gamma)
-                if rough.norm_inf() <= 1e-8 * max(gamma.norm_inf(), 1e-300):
+                if rough.norm_inf() <= 1e-12 * max(gamma.norm_inf(), 1e-300):
                     break
-                alpha, _ = calculus.green_solve(rough, tol=1e-9)
+                alpha, _ = calculus.green_solve(rough, tol=1e-11)
                 gamma = gamma - calculus.d(alpha)
         gammas.append(gamma)
 
@@ -107,12 +155,7 @@ def matrix_E(basis_p, basis_q):
     if basis_p.degree + basis_q.degree != grid.dim:
         raise ValueError("matrix_E needs complementary degrees")
     beta = basis_p.betti
-    E = np.array(
-        [
-            [integrate_manifold(wedge(ga, gb)) for gb in basis_q.gammas]
-            for ga in basis_p.gammas
-        ]
-    )
+    E = np.array([[wedge_integral(ga, gb) for gb in basis_q.gammas] for ga in basis_p.gammas])
     P = np.full(beta, -1, dtype=int)
     for a in range(beta):
         row = np.abs(E[a])

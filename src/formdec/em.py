@@ -62,7 +62,9 @@ def assemble_F(Efield, Bfield, grid, c=1.0):
 def charges(F, basis2, mu0=1.0, c=1.0):
     """Topological charges: mu0 c qM_a = int_{z_a} F, mu0 c qE_a = int_{z_a} *F.
 
-    These are the cycle integrals u and dual integrals v of F at p = 2.
+    These are the cycle integrals u and dual integrals v of F at p = 2.  The
+    offset average gives qM for a closed F; *F need not be closed, so qE is
+    read off the wedge pairing by dual_decompose.
     """
     qM = np.array([integrate_cycle_mean(F, z) for z in basis2.cycles])
     return ChargeSet(qM / (mu0 * c), decompose.dual_decompose(F, basis2) / (mu0 * c))

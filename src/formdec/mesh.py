@@ -282,15 +282,35 @@ def integrate_manifold(f: DiscreteForm) -> float:
     return float(np.sum(f.components[top])) * f.grid.cell_volume
 
 
+def wedge_integral(a: DiscreteForm, b: DiscreteForm) -> float:
+    """int_M a wedge b for forms of complementary degrees.
+
+    Equal to integrate_manifold(wedge(a, b)) without building the wedge: each
+    component a_I meets only the complementary component b_J, so this sums
+    merge_sign(I, J) * sum(a_I * b_J) over the components of a.
+    """
+    if a.grid is not b.grid:
+        raise ValueError("wedge operands must share a grid")
+    n = a.grid.dim
+    if a.degree + b.degree != n:
+        raise ValueError(f"wedge_integral needs degrees summing to {n}")
+    total = 0.0
+    for I, fa in a.components.items():
+        J = tuple(k for k in range(n) if k not in I)
+        total += merge_sign(I, J) * float(np.sum(fa * b.components[J]))
+    return total * a.grid.cell_volume
+
+
 def integrate_cycle_mean(f: DiscreteForm, axes) -> float:
     """Cycle integral over the coordinate sub-torus spanned by `axes`,
     averaged over all offsets of the other axes (periodic rectangle rule).
 
-    For a closed form the integral does not depend on the offset, so this
-    is its cycle integral.  It annihilates exact forms d(a): summed over the
-    periodic lattice, their stencil derivatives telescope to zero (up to
-    rounding).  For a general form it is only an average: on a curved metric
-    it does not annihilate the coexact part.
+    Only closed forms are passed here (the harmonic basis, star of the basis
+    and the field F): for a closed form the integral does not depend on the
+    offset, so the average is its cycle integral.  For a form that is not
+    closed it is only an average (on a curved metric it does not annihilate
+    the coexact part), so harmonic coefficients of general forms come from
+    the wedge pairing, CohomologyBasis.coefficients.
     """
     axes = tuple(axes)
     if len(axes) != f.degree:

@@ -78,26 +78,23 @@ def test_criterion_3_round_trip(capsys):
     grid = build_grid(GridSpec(2, (64, 64), (TWO_PI, TWO_PI), (1, 1)))
     basis = cohomology.build_basis(grid, 1)
     rng = np.random.default_rng(2024)
-    worst_rt = worst_gauge = worst_cycle = 0.0
+    worst_rt = worst_cycle = 0.0
+    gauge_keys = set()
     for _ in range(50):
         phi = fields.random_trig_form(grid, 1, rng)
         dec = decompose.hodge_decompose(phi, basis)
         res = decompose.decomposition_residuals(phi, dec, basis)
         worst_rt = max(worst_rt, dec.reconstruction_error)
-        worst_gauge = max(worst_gauge, res["gauge_delta_alpha"], res["gauge_d_beta"])
+        # on T^2 at p = 1 alpha is a 0-form and beta a top form: no gauge check applies
+        gauge_keys |= res.keys() & {"gauge_delta_alpha", "gauge_d_beta"}
         worst_cycle = max(worst_cycle, res["cycle_of_exact"], res["cycle_of_coexact"])
     elapsed = time.perf_counter() - t0
-    ok = (
-        worst_rt <= 1e-8
-        and worst_gauge <= 1e-8
-        and worst_cycle <= 1e-10
-        and elapsed < 60.0
-    )
+    ok = worst_rt <= 1e-8 and not gauge_keys and worst_cycle <= 1e-10 and elapsed < 60.0
     with capsys.disabled():
         report(
             3,
             ok,
-            f"round-trip {worst_rt:.3e}, gauge {worst_gauge:.3e}, "
+            f"round-trip {worst_rt:.3e}, gauge checks {sorted(gauge_keys)}, "
             f"cycle {worst_cycle:.3e}, {elapsed:.2f}s",
         )
 
@@ -132,8 +129,7 @@ def test_criterion_5_matrix_battery(capsys):
     for dim, p, n_pts in ((2, 1, 32), (3, 1, 16), (4, 1, 10), (4, 2, 10)):
         grid = build_grid(GridSpec(dim, (n_pts,) * dim, (TWO_PI,) * dim, (1,) * dim))
         bp = cohomology.build_basis(grid, p)
-        bq = bp if 2 * p == dim else cohomology.build_basis(grid, dim - p)
-        _, residuals = cohomology.verify_pair(bp, bq)
+        _, residuals = cohomology.verify_pair(bp, bp.dual)
         worst_flat = max(worst_flat, max(residuals.values()))
     grid = build_grid(
         GridSpec(2, (128, 128), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=2.0, r=1.0)

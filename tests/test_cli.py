@@ -226,3 +226,25 @@ def test_verify_em_dim_4_is_the_default(capsys):
     code, explicit = run(capsys, ["verify", "--suite", "em", "--dim", "4", "--grid", "8"])
     assert code == 0
     assert explicit == doc
+
+
+def test_verify_em_default_grid_is_12(capsys, monkeypatch):
+    # the verify default of 64 points per axis would build a 64^4 torus (805 MB
+    # per 2-form), so the grid is checked before the suite allocates anything
+    suite = cli.VERIFY_SUITES["em"]
+
+    def checked(args, report):
+        assert args.grid == 12
+        suite(args, report)
+
+    monkeypatch.setitem(cli.VERIFY_SUITES, "em", checked)
+    code, doc = run(capsys, ["verify", "--suite", "em"])
+    assert code == 0
+    assert doc["inputs"]["grid"] == 12
+
+
+def test_em_reports_no_maxwell_checks(capsys):
+    # with the currents computed from F, both Maxwell residuals are 0 by construction
+    code, doc = run(capsys, ["em", "--preset", "mixed", "--grid", "8"])
+    assert code == 0
+    assert not [c["name"] for c in doc["checks"] if c["name"].startswith("maxwell")]

@@ -102,8 +102,7 @@ def test_matrix_identity_battery_flat(dim, p):
     n_pts = {2: 32, 3: 16, 4: 10}[dim]
     grid = build_grid(GridSpec(dim, (n_pts,) * dim, (TWO_PI,) * dim, (1,) * dim))
     bp = build_basis(grid, p)
-    bq = bp if 2 * p == dim else build_basis(grid, dim - p)
-    _, residuals = verify_pair(bp, bq)
+    _, residuals = verify_pair(bp, bp.dual)
     for name, res in residuals.items():
         assert res <= 1e-10, f"{name} residual {res}"
 
@@ -147,3 +146,19 @@ def test_duality_error_on_bad_degrees(t2_flat):
         matrix_E(b1, b0)
     with pytest.raises(ValueError):
         matrix_T(b1, b0)
+
+
+@pytest.mark.parametrize("dim,p", [(2, 1), (3, 1), (3, 2), (4, 0), (4, 2)])
+def test_basis_carries_its_dual_and_E(dim, p):
+    grid = build_grid(GridSpec(dim, (8,) * dim, (TWO_PI,) * dim, (1,) * dim))
+    basis = build_basis(grid, p)
+    dual = basis.dual
+    assert dual.degree == dim - p and dual.dual is basis
+    assert (dual is basis) == (2 * p == dim)
+    for b in (basis, dual):
+        E, P = matrix_E(b, b.dual)
+        assert np.array_equal(b.E, E) and np.array_equal(b.P, P)
+    # the linked fields stay out of repr, which would otherwise recurse through dual.dual
+    assert " dual=" not in repr(basis) and " E=" not in repr(basis)
+    with pytest.raises(ValueError):
+        basis.coefficients(grid.zeros(p + 1))

@@ -9,8 +9,10 @@ from formdec import (
     integrate_cycle_mean,
     integrate_manifold,
     wedge,
+    wedge_integral,
 )
 from formdec import calculus
+from test_stencil_properties import random_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,6 +89,18 @@ def test_wedge_degree_overflow(t2_flat):
     du = t2_flat.constant_form(1, {(0,): 1.0})
     with pytest.raises(ValueError):
         wedge(top, du)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_wedge_integral_matches_wedge(dim):
+    grid = build_grid(GridSpec(dim, (6,) * dim, (1.5,) * dim, (1,) * dim))
+    for p in range(dim + 1):
+        a, b = random_form(grid, p, 3 * p), random_form(grid, dim - p, 3 * p + 1)
+        top = wedge(a, b)
+        scale = float(np.sum(np.abs(top.components[tuple(range(dim))]))) * grid.cell_volume
+        assert abs(wedge_integral(a, b) - integrate_manifold(top)) <= 1e-13 * max(scale, 1.0)
+    with pytest.raises(ValueError):
+        wedge_integral(random_form(grid, 0, 0), random_form(grid, 0, 1))
 
 
 def test_integrate_unit_form(t2_flat, t2_embedded):
