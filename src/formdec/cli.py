@@ -95,24 +95,20 @@ def _grid(args, dim, metric="flat", signature=None):
     return build_grid(spec)
 
 
-def _tol(args, default):
-    return args.tol if args.tol is not None else default
-
-
 # ---------------------------------------------------------------------------
 # shared pipelines: the decomposition and electromagnetic computations
 # ---------------------------------------------------------------------------
 
 
-def _decompose_pipeline(report, basis, phis, tol):
+def _decompose_pipeline(report, basis, phis):
     """Decompose each 1-form of phis; one check per residual, worst over phis.
 
     The dual quantities use the degree-(n-1) dual basis, so any dimension works.
     Returns the decomposition, dual integrals and norm budget of the last form.
     """
-    grid = basis.grid
-    T = cohomology.matrix_T(basis.dual, basis)  # T^{(1)}
-    T_dual = cohomology.matrix_T(basis, basis.dual)  # T^{(n-1)}
+    grid, dual = basis.grid, basis.dual
+    T_dual = cohomology.matrix_T(basis, dual)  # T^{(n-1)}
+    T = T_dual if dual is basis else cohomology.matrix_T(dual, basis)  # T^{(1)}
     Dpar = calculus.sign_D(1, grid.dim, grid.neg_count)
     worst = {}
     for phi in phis:
@@ -127,11 +123,11 @@ def _decompose_pipeline(report, basis, phis, tol):
         for k, val in res.items():
             worst[k] = max(worst.get(k, 0.0), val)
     for k, val in worst.items():
-        report.check(k, val, 1e-10 if "cycle" in k else tol)
+        report.check(k, val, 1e-10 if "cycle" in k else 1e-8)
     return dec, v, nb
 
 
-def _em_pipeline(report, basis2, preset, tol, mu0=1.0, c=1.0, charge_list=None):
+def _em_pipeline(report, basis2, preset, mu0=1.0, c=1.0, charge_list=None):
     """Charges, currents, potentials and action of a preset field F."""
     F = fields.em_preset(preset, basis2.grid, basis2, mu0=mu0, c=c, charge_list=charge_list)
     T2 = cohomology.matrix_T(basis2, basis2)
@@ -151,13 +147,11 @@ def _em_pipeline(report, basis2, preset, tol, mu0=1.0, c=1.0, charge_list=None):
             "total": act.total,
         },
     )
-    report.check("reconstruction", dec.reconstruction_error, tol)
+    report.check("reconstruction", dec.reconstruction_error, 1e-7)
     report.check(
         "charge_relations", em.charge_relations(chg.qM, chg.qE, T2)["max"], 1e-8
     )
-    report.check("action_budget", act.cross_check_residual, tol)
-    if preset == "topological":
-        report.check("continuous_terms_zero", abs(act.electric_term) + abs(act.magnetic_term), tol)
+    report.check("action_budget", act.cross_check_residual, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -175,29 +169,35 @@ def _verify_core(args, report):
     def rel(residual, f):
         return residual.norm_inf() / max(f.norm_inf(), 1e-300)
 
+    # On a flat metric star only permutes and sign-flips components and both
+    # pairings sum the same products, so these two checks would read 0.  Their
+    # forms are drawn anyway, so a seed gives the later checks the same forms.
     for p in range(grid.dim + 1):
         f = form(p)
-        sgn = -1.0 if calculus.sign_D(p, grid.dim, grid.neg_count) else 1.0
-        report.check(f"star_star_degree_{p}", rel(calculus.star(calculus.star(f)) - f * sgn, f), 1e-12)
+        if not grid.is_flat:
+            sgn = -1.0 if calculus.sign_D(p, grid.dim, grid.neg_count) else 1.0
+            report.check(f"star_star_degree_{p}", rel(calculus.star(calculus.star(f)) - f * sgn, f), 1e-12)
     a, b = form(1), form(1)
-    report.check("pairing_symmetry", abs(calculus.pairing(a, b) - calculus.pairing(b, a)), 1e-10)
+    if not grid.is_flat:
+        report.check("pairing_symmetry", abs(calculus.pairing(a, b) - calculus.pairing(b, a)), 1e-10)
     f0 = form(0)
     report.check("dd_zero", rel(calculus.d(calculus.d(f0)), f0), 1e-10)
     ftop = form(grid.dim)
     report.check("delta_delta_zero", rel(calculus.delta(calculus.delta(ftop)), ftop), 1e-10)
     c0, a1 = form(0), form(1)
     adj = abs(calculus.pairing(calculus.d(c0), a1) - calculus.pairing(c0, calculus.delta(a1)))
-    report.check("adjointness", adj, _tol(args, 1e-8))
+    report.check("adjointness", adj, 1e-8)
 
 
 def _verify_cohomology(args, report):
     grid = _grid(args, args.dim, args.metric)
-    tol = _tol(args, 1e-10 if grid.is_flat else 1e-5)
+    tol = 1e-10 if grid.is_flat else 1e-5
     basis = cohomology.build_basis(grid, 1)
     report.check("normalization", basis.normalization_residual, tol)
-    report.check("d_closure", basis.d_residual, tol)
-    report.check("delta_closure", basis.delta_residual, tol)
-    matrices, residuals = cohomology.verify_pair(basis, basis.dual)
+    for name, res in (("d_closure", basis.d_residual), ("delta_closure", basis.delta_residual)):
+        if res is not None:
+            report.check(name, res, tol)
+    matrices, residuals = cohomology.verify_pair(basis)
     report.matrix("E", matrices["E"])
     report.matrix("T", matrices["T_dual"])
     report.matrix("Lambda", matrices["Lambda"])
@@ -211,13 +211,13 @@ def _verify_decompose(args, report):
     rng = np.random.default_rng(args.seed)
     basis = cohomology.build_basis(grid, 1)
     phis = [fields.random_trig_form(grid, 1, rng) for _ in range(5)]
-    _decompose_pipeline(report, basis, phis, _tol(args, 1e-8))
+    _decompose_pipeline(report, basis, phis)
 
 
 def _verify_em(args, report):
     basis2 = cohomology.build_basis(_grid(args, args.dim, args.metric, MINKOWSKI), 2)
     report.check("betti_2_even", basis2.betti % 2, 0.5)
-    _em_pipeline(report, basis2, "mixed", _tol(args, 1e-7))
+    _em_pipeline(report, basis2, "mixed")
 
 
 VERIFY_SUITES = {
@@ -250,7 +250,7 @@ def cmd_verify(args, report):
 def cmd_torus2(args, report):
     flat = args.mode == "flat"
     grid = _grid(args, 2, "flat" if flat else "embedded-torus")
-    tol = _tol(args, 1e-10 if flat else 1e-5)
+    tol = 1e-10 if flat else 1e-5
     basis = cohomology.build_basis(grid, 1)
     E, P = basis.E, basis.P
     T = cohomology.matrix_T(basis, basis)
@@ -293,7 +293,10 @@ def cmd_taxonomy(args, report):
             f"and s {args.s}; admissible groups: {groups}"
         )
     if args.params:
-        draws = [taxonomy.solve_group(args.group, json.loads(args.params), s=args.s)]
+        params = json.loads(args.params)
+        if not isinstance(params, dict):
+            raise ValueError(f"--params must be a JSON object, got {args.params}")
+        draws = [taxonomy.solve_group(args.group, params, s=args.s)]
     else:
         rng = np.random.default_rng(args.seed)
         draws = [
@@ -319,7 +322,7 @@ def cmd_taxonomy(args, report):
 
 def cmd_decompose(args, report):
     grid = _grid(args, 2)
-    tol = _tol(args, 1e-8)
+    tol = 1e-8
     basis = cohomology.build_basis(grid, 1)
     if args.preset == "mixed-t2":
         phi = fields.mixed_t2(grid, basis)
@@ -327,7 +330,7 @@ def cmd_decompose(args, report):
         phi = fields.exact_t2(grid)
     else:
         phi = fields.random_trig_form(grid, 1, np.random.default_rng(args.seed))
-    dec, v, nb = _decompose_pipeline(report, basis, [phi], tol)
+    dec, v, nb = _decompose_pipeline(report, basis, [phi])
     report.value("u", dec.u.tolist())
     report.value("v", v.tolist())
     report.value(
@@ -365,7 +368,7 @@ def _parse_charges(text):
 def cmd_em(args, report):
     basis2 = cohomology.build_basis(_grid(args, 4, signature=MINKOWSKI), 2)
     charge_list = _parse_charges(args.charges) if args.charges else None
-    _em_pipeline(report, basis2, args.preset, _tol(args, 1e-7), args.mu0, args.c, charge_list)
+    _em_pipeline(report, basis2, args.preset, args.mu0, args.c, charge_list)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +378,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -388,7 +398,6 @@ def build_parser():
     def common(p, func, inputs, grid_default=64):
         p.add_argument("--grid", type=int, default=grid_default, help="points per axis")
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument("--tol", type=float, default=None, help="override check tolerance")
         p.add_argument("--json-out", dest="json_out", default=None, help="also write JSON here")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
         p.set_defaults(func=func, inputs=inputs)
@@ -399,7 +408,7 @@ def build_parser():
     p.add_argument("--metric", choices=["flat", "embedded-torus"], default="flat")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
-    common(p, cmd_verify, ("suite", "grid", "seed"), grid_default=None)
+    common(p, cmd_verify, ("suite", "dim", "metric", "grid", "seed"), grid_default=None)
 
     p = sub.add_parser("torus2", help="2-torus cohomology matrices")
     p.add_argument("--mode", choices=["flat", "embedded"], default="flat")
@@ -430,8 +439,8 @@ def build_parser():
     p = sub.add_parser("em", help="electromagnetic demo on the Minkowski 4-torus")
     p.add_argument("--preset", choices=["topological", "exact", "mixed"], default="topological")
     p.add_argument("--charges", default=None, help="comma list like 1@01,2@23")
-    p.add_argument("--mu0", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--mu0", type=_positive_float, default=1.0)
+    p.add_argument("--c", type=_positive_float, default=1.0)
     common(p, cmd_em, ("preset", "grid", "charges", "mu0", "c"), grid_default=12)
     return parser
 

@@ -1,7 +1,7 @@
 """Normalized cohomology representative bases and the duality matrices.
 
-Builds the strong-harmonic representative set for each degree, normalized
-so cycle integrals give the identity, linked to its dual basis by the
+Builds the strong-harmonic representative set for each degree, whose
+cycle integrals are the identity, linked to its dual basis by the
 intersection matrix E and the duality permutation P, which also read off
 harmonic coefficients; then fills the star-transfer matrix T and the Gram
 matrix Lambda, and checks the exact identities relating them.
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calculus
-from .mesh import integrate_cycle_mean, wedge_integral
+from .mesh import integrate_cycle_mean, linear_combination, wedge_integral
 
 PAIR_TOL = 1e-8
 EXPANSION_TOL = 1e-6
@@ -38,7 +38,9 @@ class CohomologyBasis:
     """Harmonic representatives gamma_a of degree p, one per coordinate cycle.
 
     build_basis also links the degree-(n-p) basis, dual, and sets
-    E, P = matrix_E(self, dual).
+    E, P = matrix_E(self, dual).  The closure residuals are None where no
+    projection ran (flat metrics, degree 0): there every stencil difference
+    of the constant seeds is exactly 0.  d_residual is None at the top degree.
     """
 
     degree: int
@@ -46,8 +48,8 @@ class CohomologyBasis:
     gammas: list
     cycles: list  # axis tuple of each coordinate cycle, one per gamma
     normalization_residual: float
-    d_residual: float = 0.0
-    delta_residual: float = 0.0
+    d_residual: float | None = None
+    delta_residual: float | None = None
     E: np.ndarray = field(init=False, repr=False, compare=False)
     P: np.ndarray = field(init=False, repr=False, compare=False)
     # None at the middle degree: a reference to itself would keep the basis
@@ -94,55 +96,39 @@ def build_basis(grid, p):
 
 
 def _harmonic_basis(grid, p):
-    """Representative basis with cycle integrals normalized to the identity.
+    """Representative basis whose cycle integrals are the identity.
 
-    Seeds are the constant coordinate forms; on curved metrics each seed
-    is harmonically projected (seed -> seed - d(G(delta seed))) at most
-    three times, until its coderivative is below 1e-12 relative, then the
-    whole set is renormalized by the inverse of the cycle-integral matrix.
-    The coefficients read off a dual basis are off by about that residual
-    times the coexact part of the form, hence the tight bound.
+    Seeds are the constant coordinate forms dx^I / prod(periods), whose
+    cycle integrals are the identity.  On curved metrics each seed of
+    degree >= 1 is harmonically projected (seed -> seed - d(G(delta seed)))
+    at most three times, until its coderivative is below 1e-12 relative;
+    d(G(...)) is exact and adds no cycle integral.  The coefficients read
+    off a dual basis are off by about that residual times the coexact part
+    of the form, hence the tight bound.
     """
     cycles = grid.components_of_degree(p)
-    betti = len(cycles)
-    gammas = []
+    project = p >= 1 and not grid.is_flat
+    gammas, d_res, delta_res = [], [], []
     for z in cycles:
-        # closed constant seed dx^I / prod(periods)
         scale = 1.0 / math.prod(grid.spec.periods[a] for a in z)
         gamma = grid.constant_form(p, {z: scale})
-        if p >= 1 and not grid.is_flat:
+        if project:
+            rough = calculus.delta(gamma)
             for _ in range(3):
-                rough = calculus.delta(gamma)
                 if rough.norm_inf() <= 1e-12 * max(gamma.norm_inf(), 1e-300):
                     break
                 alpha, _ = calculus.green_solve(rough, tol=1e-11)
                 gamma = gamma - calculus.d(alpha)
+                rough = calculus.delta(gamma)
+            size = max(gamma.norm_inf(), 1e-300)
+            delta_res.append(rough.norm_inf() / size)
+            if p < grid.dim:
+                d_res.append(calculus.d(gamma).norm_inf() / size)
         gammas.append(gamma)
-
-    def cycle_matrix(forms):
-        return np.array([[integrate_cycle_mean(g, z) for z in cycles] for g in forms])
-
-    cyc_matrix = cycle_matrix(gammas)
-    if abs(np.linalg.det(cyc_matrix)) < 1e-12:
-        raise RuntimeError("seed set is not independent: singular cycle matrix")
-    inv = np.linalg.inv(cyc_matrix)
-    normalized = []
-    for a in range(betti):
-        g = grid.zeros(p)
-        for b in range(betti):
-            g = g + gammas[b] * inv[a, b]
-        normalized.append(g)
-
-    norm_res = float(np.max(np.abs(cycle_matrix(normalized) - np.eye(betti))))
-    d_res = 0.0
-    delta_res = 0.0
-    for g in normalized:
-        scale = max(g.norm_inf(), 1e-300)
-        if p < grid.dim:
-            d_res = max(d_res, calculus.d(g).norm_inf() / scale)
-        if p > 0:
-            delta_res = max(delta_res, calculus.delta(g).norm_inf() / scale)
-    return CohomologyBasis(p, betti, normalized, cycles, norm_res, d_res, delta_res)
+    cycle_matrix = np.array([[integrate_cycle_mean(g, z) for z in cycles] for g in gammas])
+    norm_res = float(np.max(np.abs(cycle_matrix - np.eye(len(cycles)))))
+    closure = (max(d_res, default=None), max(delta_res, default=None))
+    return CohomologyBasis(p, len(cycles), gammas, cycles, norm_res, *closure)
 
 
 def matrix_E(basis_p, basis_q):
@@ -182,8 +168,7 @@ def matrix_T(basis_p, basis_dual):
     Also verifies the expansion star(gamma_a) = sum_b T_ab gamma^{n-p}_b,
     which requires the basis to be strong harmonic enough.
     """
-    grid = basis_p.grid
-    if basis_p.degree + basis_dual.degree != grid.dim:
+    if basis_p.degree + basis_dual.degree != basis_p.grid.dim:
         raise ValueError("matrix_T needs complementary degrees")
     stars = [calculus.star(g) for g in basis_p.gammas]
     T = np.array(
@@ -191,9 +176,7 @@ def matrix_T(basis_p, basis_dual):
     )
     worst = 0.0
     for a, sg in enumerate(stars):
-        recon = grid.zeros(basis_dual.degree)
-        for b, gb in enumerate(basis_dual.gammas):
-            recon = recon + gb * T[a, b]
+        recon = linear_combination(basis_dual.gammas, T[a])
         scale = max(sg.norm_inf(), 1e-300)
         worst = max(worst, (sg - recon).norm_inf() / scale)
     if worst > EXPANSION_TOL:
@@ -224,14 +207,11 @@ class CheckReport:
     tt_residual: float
     et_residual: float
     lel_residual: float
-    lambda_sym_residual: float
     reality_residual: float
     det_T: float
 
     def max_residual(self):
-        return max(
-            self.tt_residual, self.et_residual, self.lel_residual, self.lambda_sym_residual
-        )
+        return max(self.tt_residual, self.et_residual, self.lel_residual)
 
 
 def verify_triple(E, T, Lam, D_parity, T_p=None):
@@ -240,7 +220,6 @@ def verify_triple(E, T, Lam, D_parity, T_p=None):
       tt:  T T_p - (-1)^D I
       et:  E T^t - Lambda
       lel: Lambda E^-1 Lambda - (-1)^D E   (a middle-degree identity)
-      lambda_sym: asymmetry of Lambda
       reality: |det T|^2 - (-1)^{beta D}
 
     At the middle degree a single T maps the basis to itself and T_p = T.
@@ -258,38 +237,36 @@ def verify_triple(E, T, Lam, D_parity, T_p=None):
     if abs(np.linalg.det(E)) < 1e-300:
         raise np.linalg.LinAlgError("singular E matrix")
     lel = float(np.max(np.abs(Lam @ np.linalg.inv(E) @ Lam - sgn * E)))
-    lam_sym = float(np.max(np.abs(Lam - Lam.T)))
     det_T = float(np.linalg.det(T))
     reality = abs(det_T**2 - (-1.0) ** ((beta * D_parity) % 2))
-    return CheckReport(tt, et, lel, lam_sym, reality, det_T)
+    return CheckReport(tt, et, lel, reality, det_T)
 
 
-def verify_pair(basis_p, basis_dual):
-    """verify_triple on a complementary basis pair, plus E's transpose rule.
+def verify_pair(basis):
+    """verify_triple on a basis and its dual, plus E's transpose rule.
 
-    Returns (matrices, residuals).  The residuals are tt, et, lambda_sym
-    and, at the middle degree only, lel from verify_triple, plus
+    Reads E and P off the linked bases; T is built once at the middle
+    degree, where the dual is the basis itself.  Returns (matrices,
+    residuals).  The residuals are tt, et and, at the middle degree only,
+    lel from verify_triple, plus
       e_transpose: E^{(p)} - (-1)^{(n-p)p} (E^{(n-p)})^t
     """
-    grid = basis_p.grid
-    n, p = grid.dim, basis_p.degree
+    grid, dual = basis.grid, basis.dual
+    n, p = grid.dim, basis.degree
     Dpar = calculus.sign_D(p, n, grid.neg_count)
-    E_p, P = matrix_E(basis_p, basis_dual)
-    E_q, _ = matrix_E(basis_dual, basis_p)
-    T_dual = matrix_T(basis_p, basis_dual)  # T^{(n-p)}
-    T_p = matrix_T(basis_dual, basis_p)  # T^{(p)}
-    Lam = matrix_Lambda(basis_p)
-    chk = verify_triple(E_p, T_dual, Lam, Dpar, T_p)
+    T_dual = matrix_T(basis, dual)  # T^{(n-p)}
+    T_p = T_dual if dual is basis else matrix_T(dual, basis)  # T^{(p)}
+    Lam = matrix_Lambda(basis)
+    chk = verify_triple(basis.E, T_dual, Lam, Dpar, T_p)
     flip = (-1.0) ** (((n - p) * p) % 2)
     residuals = {
         "tt": chk.tt_residual,
         "et": chk.et_residual,
-        "e_transpose": float(np.max(np.abs(E_p - flip * E_q.T))),
-        "lambda_sym": chk.lambda_sym_residual,
+        "e_transpose": float(np.max(np.abs(basis.E - flip * dual.E.T))),
     }
     if p * 2 == n:
         residuals["lel"] = chk.lel_residual
-    matrices = {"E": E_p, "E_dual": E_q, "T_dual": T_dual, "T": T_p, "Lambda": Lam, "P": P}
+    matrices = dict(E=basis.E, E_dual=dual.E, T_dual=T_dual, T=T_p, Lambda=Lam, P=basis.P)
     return matrices, residuals
 
 

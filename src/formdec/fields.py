@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import calculus
+from .mesh import linear_combination
 
 
 def random_trig_form(grid, degree, rng, kmax=3, nmodes=4):
@@ -36,7 +37,7 @@ def mixed_t2(grid, basis):
         raise ValueError("mixed-t2 preset needs a 2-torus")
     scalar = grid.constant_form(0, {(): 0.0})
     scalar.components[()][:] = np.sin(grid.coords[0])
-    return calculus.d(scalar) + basis.gammas[0] * 3.0 + basis.gammas[1] * 4.0
+    return linear_combination([calculus.d(scalar)] + basis.gammas, [1.0, 3.0, 4.0])
 
 
 def exact_t2(grid):
@@ -63,13 +64,13 @@ def em_preset(name, grid, basis2, mu0=1.0, c=1.0, charge_list=None):
     mixed:       both contributions together.
     """
     charge_list = charge_list or [(1.0, (0, 1))]
-    topo = grid.zeros(2)
     comps = grid.components_of_degree(2)
+    classes = []
     for q, pair in charge_list:
         if tuple(pair) not in comps:
             raise ValueError(f"unknown cohomology class {pair}")
-        a = comps.index(tuple(pair))
-        topo = topo + basis2.gammas[a] * (mu0 * c * q)
+        classes.append(basis2.gammas[comps.index(tuple(pair))])
+    topo = linear_combination(classes, [mu0 * c * q for q, _ in charge_list])
     if name == "topological":
         return topo
     exact = calculus.d(em_gauge_potential(grid))

@@ -252,6 +252,21 @@ class DiscreteForm:
         )
 
 
+def linear_combination(forms, coeffs):
+    """sum_i coeffs[i] * forms[i], accumulated in place into one zeroed form.
+
+    The terms are added in the given order: the result is bit-equal to
+    adding them one at a time to grid.zeros(degree).
+    """
+    out = forms[0].grid.zeros(forms[0].degree)
+    term = np.empty(out.grid.shape)
+    for f, c in zip(forms, coeffs, strict=True):
+        out._check_compatible(f)
+        for I, acc in out.components.items():
+            acc += np.multiply(f.components[I], c, out=term)
+    return out
+
+
 def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:
     """Pointwise exterior product with standard permutation signs."""
     if a.grid is not b.grid:

@@ -5,6 +5,8 @@ import pytest
 
 from formdec import calculus, cli, cohomology
 
+from test_cohomology import count_calls
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -248,3 +250,83 @@ def test_em_reports_no_maxwell_checks(capsys):
     code, doc = run(capsys, ["em", "--preset", "mixed", "--grid", "8"])
     assert code == 0
     assert not [c["name"] for c in doc["checks"] if c["name"].startswith("maxwell")]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["em", "--grid", "8", "--mu0", "0"], "--mu0"),
+        (["em", "--grid", "8", "--c", "0"], "--c"),
+        (["em", "--grid", "8", "--c", "nan"], "--c"),
+    ],
+)
+def test_em_nonpositive_constants_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}:" in captured.err
+
+
+def test_taxonomy_params_must_be_an_object(capsys):
+    code = cli.main(["taxonomy", "--group", "S2.1.1", "--params", "[1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: --params" in captured.err
+
+
+def test_tol_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "core", "--grid", "8", "--tol", "1"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+# checks that read 0 by construction on a flat metric are reported on curved ones only
+CURVED_ONLY = {
+    "core": {"star_star_degree_0", "star_star_degree_1", "star_star_degree_2", "pairing_symmetry"},
+    "cohomology": {"d_closure", "delta_closure"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CURVED_ONLY))
+def test_verify_zero_by_construction_checks_only_on_curved(capsys, suite):
+    argv = ["verify", "--suite", suite, "--grid", "32"]
+    code, flat = run(capsys, argv)
+    assert code == 0
+    code, curved = run(capsys, argv + ["--metric", "embedded-torus"])
+    assert code == 0
+    flat_names = {c["name"] for c in flat["checks"]}
+    curved_names = {c["name"] for c in curved["checks"]}
+    assert not flat_names & CURVED_ONLY[suite]
+    assert curved_names - flat_names == CURVED_ONLY[suite]
+    # Lambda is built symmetric, so its asymmetry is never reported
+    assert "identity_lambda_sym" not in flat_names | curved_names
+
+
+def test_verify_cohomology_builds_T_once_at_the_middle_degree(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, cohomology, ("matrix_T",))
+    for suite in ("cohomology", "decompose"):
+        calls.clear()
+        code, _ = run(capsys, ["verify", "--suite", suite, "--grid", "16"])
+        assert code == 0 and calls["matrix_T"] == 1, suite
+
+
+def test_verify_inputs_record_dim_and_metric(capsys):
+    argv = ["verify", "--suite", "cohomology", "--grid", "32"]
+    code, flat = run(capsys, argv)
+    assert code == 0
+    code, curved = run(capsys, argv + ["--metric", "embedded-torus"])
+    assert code == 0
+    assert flat["inputs"] == {"suite": "cohomology", "dim": 2, "metric": "flat", "grid": 32, "seed": 0}
+    assert curved["inputs"] == dict(flat["inputs"], metric="embedded-torus")
+
+
+def test_em_topological_reports_no_continuous_terms_check(capsys):
+    # every stencil of the constant field is 0, so AE = AM = JE = JM = 0 exactly
+    code, doc = run(capsys, ["em", "--preset", "topological", "--grid", "8"])
+    assert code == 0
+    assert "continuous_terms_zero" not in [c["name"] for c in doc["checks"]]
+    assert doc["values"]["action"]["electric"] == doc["values"]["action"]["magnetic"] == 0.0

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy.integrate import quad
 
-from formdec import GridSpec, build_grid
+from formdec import GridSpec, build_grid, integrate_cycle_mean
 from formdec import calculus, cohomology
 from formdec.cohomology import (
     build_basis,
@@ -14,6 +16,9 @@ from formdec.cohomology import (
     verify_pair,
     verify_triple,
 )
+
+from test_decompose import embedded_grids_12, every_degree_basis
+from test_stencil_properties import FAST, flat_grids
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,7 +41,12 @@ def test_flat_t2_basis_exact(t2_flat):
     assert np.allclose(basis.gammas[0].components[(1,)], 0.0)
     assert np.allclose(basis.gammas[1].components[(1,)], 1.0 / TWO_PI)
     assert basis.normalization_residual < 1e-12
-    assert basis.d_residual < 1e-12 and basis.delta_residual < 1e-12
+    # no projection runs on a flat metric, so the closure residuals are not
+    # measured: every stencil difference of the constant seeds is exactly 0
+    assert basis.d_residual is None and basis.delta_residual is None
+    for g in basis.gammas:
+        assert calculus.d(g).norm_inf() == 0.0
+        assert calculus.delta(g).norm_inf() == 0.0
 
 
 def test_flat_t2_matrices(t2_flat):
@@ -58,7 +68,7 @@ def test_embedded_basis_and_matrices(t2_embedded):
     v = t2_embedded.coords[1]
     expected = math.sqrt(3.0) / (TWO_PI * (2.0 + np.cos(v)))
     assert float(np.max(np.abs(basis.gammas[1].components[(1,)] - expected))) < 1e-6
-    assert basis.delta_residual < 1e-6
+    assert basis.delta_residual < 1e-6 and basis.d_residual < 1e-12
     T = matrix_T(basis, basis)
     L = matrix_Lambda(basis)
     # tau12 = r * oracle / (2 pi) = 1/sqrt(3); tau21 = -sqrt(3)
@@ -102,14 +112,14 @@ def test_matrix_identity_battery_flat(dim, p):
     n_pts = {2: 32, 3: 16, 4: 10}[dim]
     grid = build_grid(GridSpec(dim, (n_pts,) * dim, (TWO_PI,) * dim, (1,) * dim))
     bp = build_basis(grid, p)
-    _, residuals = verify_pair(bp, bp.dual)
+    _, residuals = verify_pair(bp)
     for name, res in residuals.items():
         assert res <= 1e-10, f"{name} residual {res}"
 
 
 def test_matrix_identity_battery_embedded(t2_embedded):
     basis = build_basis(t2_embedded, 1)
-    _, residuals = verify_pair(basis, basis)
+    _, residuals = verify_pair(basis)
     for name, res in residuals.items():
         assert res <= 1e-5, f"{name} residual {res}"
 
@@ -162,3 +172,59 @@ def test_basis_carries_its_dual_and_E(dim, p):
     assert " dual=" not in repr(basis) and " E=" not in repr(basis)
     with pytest.raises(ValueError):
         basis.coefficients(grid.zeros(p + 1))
+
+
+def check_cycle_identity(grid):
+    """The cycle integrals of every basis form are the identity, unrenormalized."""
+    for basis in every_degree_basis(grid):
+        C = [[integrate_cycle_mean(g, z) for z in basis.cycles] for g in basis.gammas]
+        assert float(np.max(np.abs(np.array(C) - np.eye(basis.betti)))) <= 1e-15, basis.degree
+
+
+@FAST
+@given(grid=flat_grids())
+def test_cycle_integrals_are_identity_flat(grid):
+    check_cycle_identity(grid)
+
+
+@FAST
+@given(grid=embedded_grids_12())
+def test_cycle_integrals_are_identity_embedded(grid):
+    check_cycle_identity(grid)
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace module.<name> for each name by a wrapper that counts its calls."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_flat_build_basis_runs_no_stencil(monkeypatch, dim):
+    grid = build_grid(GridSpec(dim, (8,) * dim, (TWO_PI,) * dim, (1,) * dim))
+    calls = count_calls(monkeypatch, calculus, ("d", "delta"))
+    for p in range(dim + 1):
+        build_basis(grid, p)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("dim,p", [(2, 1), (3, 1), (4, 1), (4, 2)])
+def test_verify_pair_reuses_E_and_builds_each_T_once(monkeypatch, dim, p):
+    grid = build_grid(GridSpec(dim, (8,) * dim, (TWO_PI,) * dim, (1,) * dim))
+    basis = build_basis(grid, p)
+    calls = count_calls(monkeypatch, cohomology, ("matrix_E", "matrix_T"))
+    matrices, _ = verify_pair(basis)
+    assert calls["matrix_E"] == 0
+    assert calls["matrix_T"] == (1 if 2 * p == dim else 2)
+    assert matrices["E"] is basis.E and matrices["E_dual"] is basis.dual.E
+    assert matrices["P"] is basis.P

@@ -12,6 +12,7 @@ from formdec import (
     wedge_integral,
 )
 from formdec import calculus
+from formdec.mesh import linear_combination
 from test_stencil_properties import random_form
 
 TWO_PI = 2.0 * math.pi
@@ -101,6 +102,23 @@ def test_wedge_integral_matches_wedge(dim):
         assert abs(wedge_integral(a, b) - integrate_manifold(top)) <= 1e-13 * max(scale, 1.0)
     with pytest.raises(ValueError):
         wedge_integral(random_form(grid, 0, 0), random_form(grid, 0, 1))
+
+
+@pytest.mark.parametrize("dim,p", [(1, 1), (2, 1), (3, 2), (4, 2)])
+def test_linear_combination_matches_sequential_sum(dim, p):
+    grid = build_grid(GridSpec(dim, (6,) * dim, (1.5,) * dim, (1,) * dim))
+    forms = [random_form(grid, p, 7 * k) for k in range(5)]
+    coeffs = np.random.default_rng(dim).uniform(-3.0, 3.0, size=len(forms))
+    expected = grid.zeros(p)
+    for f, c in zip(forms, coeffs):
+        expected = expected + f * c
+    got = linear_combination(forms, coeffs)
+    for I in expected.components:
+        assert np.array_equal(got.components[I], expected.components[I])
+    with pytest.raises(ValueError):
+        linear_combination(forms, coeffs[:-1])
+    with pytest.raises(ValueError):
+        linear_combination([forms[0], grid.zeros(p - 1)], [1.0, 1.0])
 
 
 def test_integrate_unit_form(t2_flat, t2_embedded):
