@@ -2,15 +2,19 @@
 Laplace-Beltrami operator, bilinear pairing, and a minimum-norm Green solver.
 
 Derivatives use periodic central-difference stencils (order 8 by default).
-On flat metrics the Laplacian is a constant-coefficient convolution whose
-Fourier symbol has the closed form sum_a s_a (2 sum_j c_j sin(j k_a h_a)/h_a)^2,
-the same for every degree and component (stencil coefficients c_j after
+On flat metrics each stencil partial is circulant with Fourier symbol
+i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a h_a)/h_a (coefficients c_j after
 Fornberg, Math. Comp. 51, 1988; symbol as in Trefethen, Spectral Methods in
-MATLAB, 2000, ch. 3).  The flat Green solve divides by that symbol exactly;
+MATLAB, 2000, ch. 3), cached per axis on the grid.  The Laplacian is then a
+convolution with the symbol sum_a s_a sigma_a^2, the same for every degree
+and component.  The flat Green solve divides by that symbol exactly;
 near-null modes (constants, and light-cone modes in indefinite signature)
-are deflated and the minimum-norm solution returned.  On curved Riemannian
-metrics a MINRES iteration on the symmetrized operator is used,
-preconditioned by the inverse of the same symbol.
+are deflated and the minimum-norm solution returned.  flat_potentials gives
+the Hodge potentials G(delta phi) and G(d phi) as one real-FFT projection,
+with d and star applied to the spectra by the same bookkeeping as the
+stencil operators.  On curved Riemannian metrics a MINRES iteration on the
+symmetrized operator is used, preconditioned by the inverse of the flat
+symbol.
 """
 
 from __future__ import annotations
@@ -108,15 +112,26 @@ def d(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
     if f.degree >= grid.dim:
         raise ValueError("cannot take d of a top-degree form")
     out = grid.zeros(f.degree + 1)
-    for I, comp in f.components.items():
-        for a in range(grid.dim):
+    _add_d(out.components, f.components, grid.dim, lambda comp, a: partial(comp, a, grid, order))
+    return out
+
+
+def _add_d(out, components, n, deriv):
+    """Add the terms of d to the components `out`, keyed like a (p+1)-form.
+
+    deriv(f_I, a) stands for the partial of component I along axis a; the
+    term goes to K = sorted(I + (a,)) with the sign of merging a into I.
+    Shared by the stencil d and the Fourier-space one of flat_potentials.
+    """
+    for I, comp in components.items():
+        for a in range(n):
             if a in I:
                 continue
             K = tuple(sorted(I + (a,)))
             if merge_sign((a,), I) > 0:
-                out.components[K] += partial(comp, a, grid, order)
+                out[K] += deriv(comp, a)
             else:
-                out.components[K] -= partial(comp, a, grid, order)
+                out[K] -= deriv(comp, a)
     return out
 
 
@@ -127,15 +142,19 @@ def star(f: DiscreteForm) -> DiscreteForm:
     sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}(signature_i / g_ii).
     """
     grid = f.grid
+    comps = {Ic: coeff * f.components[I] for I, Ic, coeff in _star_terms(grid, f.degree)}
+    return DiscreteForm(grid, grid.dim - f.degree, comps)
+
+
+def _star_terms(grid, p):
+    """(I, Ic, coefficient) of star on each degree-p component."""
     n = grid.dim
-    out = grid.zeros(n - f.degree)
-    for I, comp in f.components.items():
+    for I in grid.components_of_degree(p):
         Ic = tuple(a for a in range(n) if a not in I)
         coeff = merge_sign(I, Ic) * grid.sqrt_abs_g
         for i in I:
             coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
-        out.components[Ic] = coeff * comp
-    return out
+        yield I, Ic, coeff
 
 
 def delta(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
@@ -173,25 +192,129 @@ def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
 def laplacian_symbol(grid, order=DEFAULT_ORDER):
     """Fourier symbol of the flat-metric Laplacian, in fftn layout.
 
-    The stencil partial along axis a has symbol i sigma_a with
-    sigma_a = 2 sum_j c_j sin(j k_a h_a) / h_a.  The stencils commute, so on
-    a flat diagonal metric the Laplacian acts on every component of every
-    degree as -sum_a s_a partial_a^2, with symbol sum_a s_a sigma_a^2.  Only
-    the shape, steps and signature of the grid enter.
+    The stencil partial along axis a has symbol i sigma_a (_axis_symbols).
+    The stencils commute, so on a flat diagonal metric the Laplacian acts on
+    every component of every degree as -sum_a s_a partial_a^2, with symbol
+    sum_a s_a sigma_a^2.  Only the shape, steps and signature of the grid
+    enter.
     """
     cache = grid._symbol_cache
     if order not in cache:
-        sym = np.zeros(grid.shape)
-        for a, (N, h, s) in enumerate(zip(grid.shape, grid.steps, grid.signature)):
-            kh = 2.0 * np.pi * np.fft.fftfreq(N)
-            sigma = 2.0 * sum(
-                c * np.sin(j * kh) for j, c in enumerate(_STENCILS[order], start=1)
-            ) / h
-            axis_shape = [1] * grid.dim
-            axis_shape[a] = N
-            sym = sym + s * (sigma * sigma).reshape(axis_shape)
-        cache[order] = sym
+        cache[order] = _symbol_sum(grid, _axis_symbols(grid, order))
     return cache[order]
+
+
+def _axis_symbols(grid, order=DEFAULT_ORDER):
+    """Per-axis sigma_a = 2 sum_j c_j sin(j k_a h_a) / h_a, in fftfreq order.
+
+    Cached on the grid; every flat symbol is built from these arrays.
+    """
+    cache = grid._symbol_cache
+    key = ("sigma", order)
+    if key not in cache:
+        sigmas = []
+        for N, h in zip(grid.shape, grid.steps):
+            kh = 2.0 * np.pi * np.fft.fftfreq(N)
+            sigmas.append(
+                2.0 * sum(c * np.sin(j * kh) for j, c in enumerate(_STENCILS[order], start=1)) / h
+            )
+        cache[key] = tuple(sigmas)
+    return cache[key]
+
+
+def _symbol_sum(grid, sigmas):
+    """sum_a s_a sigma_a^2, broadcast over the axes."""
+    sym = np.zeros([len(sig) for sig in sigmas])
+    for a, (sig, s) in enumerate(zip(sigmas, grid.signature)):
+        sym = sym + s * (sig * sig).reshape(_axis_shape(grid.dim, a, len(sig)))
+    return sym
+
+
+def _axis_shape(n, axis, size):
+    shape = [1] * n
+    shape[axis] = size
+    return shape
+
+
+def _rfft_symbols(grid):
+    """The flat symbols in rfftn layout, cached on the grid.
+
+    Returns (i sigma_a per axis, broadcastable; the deflation mask; the
+    masked inverse G of the Laplacian symbol; the number of deflated modes
+    of one component).  The last axis keeps the first N//2 + 1 entries of
+    its sigma; the mask is the one of the full fftn layout, which is
+    symmetric under k -> -k, so each interior plane of the last axis stands
+    for two modes in the count.
+    """
+    cache = grid._symbol_cache
+    if "rfft" not in cache:
+        sigmas = list(_axis_symbols(grid))
+        sigmas[-1] = sigmas[-1][: grid.shape[-1] // 2 + 1]
+        isig = [
+            1j * sig.reshape(_axis_shape(grid.dim, a, len(sig))) for a, sig in enumerate(sigmas)
+        ]
+        sym = _symbol_sum(grid, sigmas)
+        mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
+        green = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, sym))
+        deflated = 2 * int(mask.sum()) - int(mask[..., 0].sum()) - int(mask[..., -1].sum())
+        cache["rfft"] = (isig, mask, green, deflated)
+    return cache["rfft"]
+
+
+def _irfftn(spectrum, grid):
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=range(grid.dim))
+
+
+def _green_form(grid, degree, spectra, green):
+    """G(source) as a form, from the rfftn spectra of the source.
+
+    Each spectrum is multiplied in place and freed once inverted.
+    """
+    comps = {}
+    for K in list(spectra):
+        spec = spectra.pop(K)
+        spec *= green
+        comps[K] = _irfftn(spec, grid)
+    return DiscreteForm(grid, degree, comps)
+
+
+def flat_potentials(phi):
+    """alpha = G(delta phi) and beta = G(d phi) of a p-form on a flat grid.
+
+    G is the minimum-norm Green operator of green_solve.  On a flat metric
+    the stencils are circulant, so this is symbol algebra on the real FFT
+    of phi: the spectra go through the index and sign bookkeeping of d and
+    star (_add_d, _star_terms) with each stencil partial replaced by its
+    symbol i sigma_a, and G multiplies by the masked inverse of the
+    Laplacian symbol.  One rfftn per component of phi, one irfftn per
+    component of alpha and beta.  alpha is None when p = 0 and beta when
+    p = n.
+    """
+    grid, p = phi.grid, phi.degree
+    n = grid.dim
+    isig, _, green, _ = _rfft_symbols(grid)
+    term = np.empty(green.shape, complex)
+
+    def d_hat(spectra, q):
+        out = {K: np.zeros(green.shape, complex) for K in grid.components_of_degree(q + 1)}
+        return _add_d(out, spectra, n, lambda comp, a: np.multiply(isig[a], comp, out=term))
+
+    def star_hat(spectra, q, scale=1.0):
+        # in place: no spectrum is used again once starred
+        return {
+            Ic: np.multiply(spectra[I], coeff * scale, out=spectra[I])
+            for I, Ic, coeff in _star_terms(grid, q)
+        }
+
+    phat = {I: np.fft.rfftn(comp) for I, comp in phi.components.items()}
+    beta_hat = d_hat(phat, p) if p < n else None
+    if p > 0:
+        sgn = -1.0 if sign_C(p, n, grid.neg_count) else 1.0
+        alpha_hat = star_hat(d_hat(star_hat(phat, p), n - p), n - p + 1, sgn)
+    del phat
+    alpha = _green_form(grid, p - 1, alpha_hat, green) if p > 0 else None
+    beta = _green_form(grid, p + 1, beta_hat, green) if p < n else None
+    return alpha, beta
 
 
 def _component_weights(grid, p):
@@ -208,18 +331,15 @@ def _component_weights(grid, p):
 def _green_solve_flat(source, tol):
     grid = source.grid
     p = source.degree
-    sym = laplacian_symbol(grid)
-    mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
-    deflated = int(mask.sum()) * len(source.components)
+    _, mask, green, deflated = _rfft_symbols(grid)
+    deflated *= len(source.components)
     theta = grid.zeros(p)
     proj = grid.zeros(p)
     for I, comp in source.components.items():
-        shat = np.fft.fftn(comp)
-        shat_proj = np.where(mask, 0.0, shat)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            that = np.where(mask, 0.0, shat_proj / np.where(mask, 1.0, sym))
-        theta.components[I][:] = np.fft.ifftn(that).real
-        proj.components[I][:] = np.fft.ifftn(shat_proj).real
+        shat = np.fft.rfftn(comp)
+        theta.components[I][:] = _irfftn(shat * green, grid)
+        shat[mask] = 0.0
+        proj.components[I][:] = _irfftn(shat, grid)
     src_norm = _l2(source)
     if src_norm == 0.0:
         return theta, SolveReport(0, 0.0, deflated)

@@ -1,6 +1,10 @@
 """Hodge decomposition with cohomology term and residue, the dual cycle
 integrals, the cross relations between them, the compact even-dimension
 block form, and the quantized norm budget.
+
+On flat grids the potentials come from one real-FFT projection of the form
+(calculus.flat_potentials), on curved ones from two Green solves; the exact
+and coexact terms are always the stencil d and delta of the potentials.
 """
 
 from __future__ import annotations
@@ -38,26 +42,29 @@ class Decomposition:
 def hodge_decompose(phi, basis):
     """Decompose a p-form against a degree-p representative basis.
 
-    alpha solves Delta(alpha) = delta(phi) at degree p-1, beta solves
-    Delta(beta) = d(phi) at degree p+1 (Green solves to 1e-10), u holds
-    the harmonic coefficients of phi, basis.coefficients(phi), and the
-    residue is whatever remains after subtraction.
+    alpha = G(delta phi) at degree p-1 and beta = G(d phi) at degree p+1,
+    with G the minimum-norm Green operator.  On flat grids both come from
+    one real-FFT projection of phi (calculus.flat_potentials); on curved
+    ones from green_solve (tolerance 1e-10).  u holds the harmonic
+    coefficients of phi, basis.coefficients(phi).  The exact and coexact
+    terms are d(alpha) and delta(beta) on the stencils, so on flat grids
+    the residue phi - d(alpha) - delta(beta) - sum u_a gamma_a is the part
+    of phi on deflated non-constant modes plus the Green residual
+    P phi - Delta G P phi of the projection against the stencil Laplacian.
     """
     grid = phi.grid
     p = phi.degree
     if basis.degree != p:
         raise ValueError("basis degree must match the form degree")
 
-    alpha = beta = exact = coexact = None
-    terms = []
-    if p > 0:
-        alpha, _ = calculus.green_solve(calculus.delta(phi))
-        exact = calculus.d(alpha)
-        terms.append(exact)
-    if p < grid.dim:
-        beta, _ = calculus.green_solve(calculus.d(phi))
-        coexact = calculus.delta(beta)
-        terms.append(coexact)
+    if grid.is_flat:
+        alpha, beta = calculus.flat_potentials(phi)
+    else:
+        alpha = calculus.green_solve(calculus.delta(phi))[0] if p > 0 else None
+        beta = calculus.green_solve(calculus.d(phi))[0] if p < grid.dim else None
+    exact = None if alpha is None else calculus.d(alpha)
+    coexact = None if beta is None else calculus.delta(beta)
+    terms = [t for t in (exact, coexact) if t is not None]
 
     u = basis.coefficients(phi)
     recon = linear_combination(terms + basis.gammas, [1.0] * len(terms) + list(u))

@@ -330,3 +330,24 @@ def test_em_topological_reports_no_continuous_terms_check(capsys):
     assert code == 0
     assert "continuous_terms_zero" not in [c["name"] for c in doc["checks"]]
     assert doc["values"]["action"]["electric"] == doc["values"]["action"]["magnetic"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        # every basis form has one nonzero component, so both sides of E's
+        # transpose rule sum the same products
+        (["verify", "--suite", "cohomology", "--grid", "16"], "identity_e_transpose"),
+        (
+            ["verify", "--suite", "cohomology", "--grid", "32", "--metric", "embedded-torus"],
+            "identity_e_transpose",
+        ),
+        (["verify", "--suite", "cohomology", "--grid", "8", "--dim", "4"], "identity_e_transpose"),
+        # the suite runs on the 4-torus only, where betti_2 = 6 is even
+        (["verify", "--suite", "em", "--grid", "8"], "betti_2_even"),
+    ],
+)
+def test_verify_reports_no_literal_zero(capsys, argv, name):
+    code, doc = run(capsys, argv)
+    assert code == 0
+    assert name not in [c["name"] for c in doc["checks"]]
