@@ -1,7 +1,7 @@
 """Signature-aware Hodge star, exterior derivative, coderivative,
 Laplace-Beltrami operator, bilinear pairing, and a minimum-norm Green solver.
 
-Derivatives use periodic central-difference stencils (order 8 by default).
+Derivatives use periodic eighth-order central-difference stencils.
 On flat metrics each stencil partial is circulant with Fourier symbol
 i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a h_a)/h_a (coefficients c_j after
 Fornberg, Math. Comp. 51, 1988; symbol as in Trefethen, Spectral Methods in
@@ -26,21 +26,15 @@ import numpy as np
 
 from .mesh import DiscreteForm, merge_sign, wedge_integral
 
-DEFAULT_ORDER = 8
 DEFLATION_TOL = 1e-10
 MAX_MINRES_ITERS = 5000
 
-# central first-derivative coefficients for positive offsets 1..order/2
-_STENCILS = {
-    2: (0.5,),
-    4: (2.0 / 3.0, -1.0 / 12.0),
-    6: (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0),
-    8: (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0),
-}
+# eighth-order central first-derivative coefficients for offsets 1..4
+_STENCIL = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
 
 
 class NumericFailure(RuntimeError):
-    """A computation missed a numeric target: its residual exceeds tolerance."""
+    """A computation missed a numeric target; `stage` names the failed check."""
 
     def __init__(self, message, residual, tolerance):
         super().__init__(message)
@@ -50,6 +44,8 @@ class NumericFailure(RuntimeError):
 
 class GreenSolveError(NumericFailure):
     """Raised when the Green solve misses its residual target."""
+
+    stage = "green_solve"
 
 
 @dataclass
@@ -73,22 +69,21 @@ def sign_C(p, n, s):
     return (n * p + n + 1 + s) % 2
 
 
-def partial(arr, axis, grid, order=DEFAULT_ORDER):
+def partial(arr, axis, grid):
     """Periodic central-difference partial derivative along one axis.
 
-    out_i = sum_{j=1..m} c_j (x_{i+j} - x_{i-j}) / h with m = order/2, summed
-    in that order.  The array is padded once by wrapping m planes onto each
-    end (GridSpec keeps N >= 4 >= m), and every shifted x is a slice of it.
+    out_i = sum_{j=1..m} c_j (x_{i+j} - x_{i-j}) / h with m = 4, summed in
+    that order.  The array is padded once by wrapping m planes onto each
+    end (GridSpec keeps N >= 4 = m), and every shifted x is a slice of it.
     """
-    coeffs = _STENCILS[order]
-    m = len(coeffs)
+    m = len(_STENCIL)
     N = arr.shape[axis]
     padded = np.concatenate(
         (_axis_slice(arr, axis, N - m, N), arr, _axis_slice(arr, axis, 0, m)), axis=axis
     )
     out = np.zeros_like(arr)
     tmp = np.empty_like(arr)
-    for j, c in enumerate(coeffs, start=1):
+    for j, c in enumerate(_STENCIL, start=1):
         np.subtract(
             _axis_slice(padded, axis, m + j, m + j + N),
             _axis_slice(padded, axis, m - j, m - j + N),
@@ -106,13 +101,13 @@ def _axis_slice(arr, axis, start, stop):
     return arr[tuple(index)]
 
 
-def d(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
+def d(f: DiscreteForm) -> DiscreteForm:
     """Exterior derivative via antisymmetrized partial-derivative stencils."""
     grid = f.grid
     if f.degree >= grid.dim:
         raise ValueError("cannot take d of a top-degree form")
     out = grid.zeros(f.degree + 1)
-    _add_d(out.components, f.components, grid.dim, lambda comp, a: partial(comp, a, grid, order))
+    _add_d(out.components, f.components, grid.dim, lambda comp, a: partial(comp, a, grid))
     return out
 
 
@@ -157,24 +152,22 @@ def _star_terms(grid, p):
         yield I, Ic, coeff
 
 
-def delta(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
+def delta(f: DiscreteForm) -> DiscreteForm:
     """Coderivative (-1)^{C(p)} star d star."""
     grid = f.grid
     if f.degree == 0:
         raise ValueError("coderivative of a 0-form is undefined")
     sgn = -1.0 if sign_C(f.degree, grid.dim, grid.neg_count) else 1.0
-    return star(d(star(f), order)) * sgn
+    return star(d(star(f))) * sgn
 
 
-def laplacian(f: DiscreteForm, order=DEFAULT_ORDER) -> DiscreteForm:
+def laplacian(f: DiscreteForm) -> DiscreteForm:
     """Laplace-Beltrami operator, delta d + d delta (invalid halves dropped)."""
-    grid = f.grid
-    out = grid.zeros(f.degree)
-    if f.degree < grid.dim:
-        out = out + delta(d(f, order), order)
-    if f.degree > 0:
-        out = out + d(delta(f, order), order)
-    return out
+    if f.degree == 0:
+        return delta(d(f))
+    if f.degree == f.grid.dim:
+        return d(delta(f))
+    return delta(d(f)) + d(delta(f))
 
 
 def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
@@ -189,7 +182,7 @@ def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
 # ---------------------------------------------------------------------------
 
 
-def laplacian_symbol(grid, order=DEFAULT_ORDER):
+def laplacian_symbol(grid):
     """Fourier symbol of the flat-metric Laplacian, in fftn layout.
 
     The stencil partial along axis a has symbol i sigma_a (_axis_symbols).
@@ -199,27 +192,26 @@ def laplacian_symbol(grid, order=DEFAULT_ORDER):
     enter.
     """
     cache = grid._symbol_cache
-    if order not in cache:
-        cache[order] = _symbol_sum(grid, _axis_symbols(grid, order))
-    return cache[order]
+    if "laplacian" not in cache:
+        cache["laplacian"] = _symbol_sum(grid, _axis_symbols(grid))
+    return cache["laplacian"]
 
 
-def _axis_symbols(grid, order=DEFAULT_ORDER):
+def _axis_symbols(grid):
     """Per-axis sigma_a = 2 sum_j c_j sin(j k_a h_a) / h_a, in fftfreq order.
 
     Cached on the grid; every flat symbol is built from these arrays.
     """
     cache = grid._symbol_cache
-    key = ("sigma", order)
-    if key not in cache:
+    if "sigma" not in cache:
         sigmas = []
         for N, h in zip(grid.shape, grid.steps):
             kh = 2.0 * np.pi * np.fft.fftfreq(N)
             sigmas.append(
-                2.0 * sum(c * np.sin(j * kh) for j, c in enumerate(_STENCILS[order], start=1)) / h
+                2.0 * sum(c * np.sin(j * kh) for j, c in enumerate(_STENCIL, start=1)) / h
             )
-        cache[key] = tuple(sigmas)
-    return cache[key]
+        cache["sigma"] = tuple(sigmas)
+    return cache["sigma"]
 
 
 def _symbol_sum(grid, sigmas):
@@ -333,13 +325,11 @@ def _green_solve_flat(source, tol):
     p = source.degree
     _, mask, green, deflated = _rfft_symbols(grid)
     deflated *= len(source.components)
-    theta = grid.zeros(p)
-    proj = grid.zeros(p)
-    for I, comp in source.components.items():
-        shat = np.fft.rfftn(comp)
-        theta.components[I][:] = _irfftn(shat * green, grid)
-        shat[mask] = 0.0
-        proj.components[I][:] = _irfftn(shat, grid)
+    spectra = {I: np.fft.rfftn(comp) for I, comp in source.components.items()}
+    proj = DiscreteForm(
+        grid, p, {I: _irfftn(np.where(mask, 0.0, shat), grid) for I, shat in spectra.items()}
+    )
+    theta = _green_form(grid, p, spectra, green)
     src_norm = _l2(source)
     if src_norm == 0.0:
         return theta, SolveReport(0, 0.0, deflated)
@@ -374,11 +364,11 @@ def _green_solve_curved(source, tol):
         )
 
     def to_form(vec):
-        f = grid.zeros(p)
-        for k, I in enumerate(comps):
-            block = vec[k * npts : (k + 1) * npts].reshape(grid.shape)
-            f.components[I][:] = block / sqw[I]
-        return f
+        blocks = {
+            I: vec[k * npts : (k + 1) * npts].reshape(grid.shape) / sqw[I]
+            for k, I in enumerate(comps)
+        }
+        return DiscreteForm(grid, p, blocks)
 
     def matvec(vec):
         return to_vec(laplacian(to_form(vec)))

@@ -5,9 +5,9 @@ every check passes, 1 on a check failure, 2 on usage errors.  A numeric
 failure inside a computation (a Green solve missing its residual, an
 unresolved duality pairing, a star expansion the basis cannot span) is a
 check failure: the report so far is emitted with one failed check named
-after the failing stage.  Output is byte-identical for identical inputs and
---seed; wall-clock timings are only included behind --timings since they
-break that determinism.
+after the exception's stage.  The inputs record every parsed argument but
+--json-out and --timings; identical inputs give byte-identical output.
+Wall-clock timings are only included behind --timings, which breaks that.
 """
 
 from __future__ import annotations
@@ -25,20 +25,14 @@ from .mesh import GridSpec, build_grid
 
 MINKOWSKI = (-1, 1, 1, 1)
 
-# numeric failures and the stage each one is reported under
-FAILURE_STAGES = {
-    calculus.GreenSolveError: "green_solve",
-    cohomology.DualityError: "duality",
-    cohomology.StarExpansionError: "star_expansion",
-}
+NOT_INPUTS = ("command", "func", "json_out", "timings")
 
 
 class Report:
-    """Accumulates matrices, values and named pass/fail checks."""
+    """Accumulates matrices, values and named pass/fail checks of parsed args."""
 
-    def __init__(self, command):
-        self.command = command
-        self.inputs = {}
+    def __init__(self, args):
+        self.args = args
         self.matrices = {}
         self.values = {}
         self.checks = []
@@ -69,15 +63,15 @@ class Report:
     def ok(self):
         return all(c["pass"] for c in self.checks)
 
-    def to_json(self, with_timings=False):
+    def to_json(self):
         doc = {
-            "command": self.command,
-            "inputs": self.inputs,
+            "command": self.args.command,
+            "inputs": {k: v for k, v in vars(self.args).items() if k not in NOT_INPUTS},
             "matrices": self.matrices,
             "values": self.values,
             "checks": self.checks,
         }
-        if with_timings:
+        if self.args.timings:
             doc["timings_ms"] = self.timings_ms
         return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -96,7 +90,7 @@ def _grid(args, dim, metric="flat", signature=None):
 
 
 # ---------------------------------------------------------------------------
-# shared pipelines: the decomposition and electromagnetic computations
+# shared pipeline: the decomposition of 1-forms
 # ---------------------------------------------------------------------------
 
 
@@ -125,33 +119,6 @@ def _decompose_pipeline(report, basis, phis):
     for k, val in worst.items():
         report.check(k, val, 1e-10 if "cycle" in k else 1e-8)
     return dec, v, nb
-
-
-def _em_pipeline(report, basis2, preset, mu0=1.0, c=1.0, charge_list=None):
-    """Charges, currents, potentials and action of a preset field F."""
-    F = fields.em_preset(preset, basis2.grid, basis2, mu0=mu0, c=c, charge_list=charge_list)
-    T2 = cohomology.matrix_T(basis2, basis2)
-    chg = em.charges(F, basis2, mu0=mu0, c=c)
-    JE, JM = em.currents(F, mu0=mu0)
-    AE, AM, dec = em.potentials(F, basis2)
-    act = em.action(F, AE, AM, JE, JM, chg, basis2.E, basis2.P, mu0=mu0, c=c)
-    report.value("qM", chg.qM.tolist())
-    report.value("qE", chg.qE.tolist())
-    report.value("betti_2", basis2.betti)
-    report.value(
-        "action",
-        {
-            "electric": act.electric_term,
-            "magnetic": act.magnetic_term,
-            "quantized": act.quantized_term,
-            "total": act.total,
-        },
-    )
-    report.check("reconstruction", dec.reconstruction_error, 1e-7)
-    report.check(
-        "charge_relations", em.charge_relations(chg.qM, chg.qE, T2)["max"], 1e-8
-    )
-    report.check("action_budget", act.cross_check_residual, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +181,14 @@ def _verify_decompose(args, report):
     _decompose_pipeline(report, basis, phis)
 
 
-def _verify_em(args, report):
-    basis2 = cohomology.build_basis(_grid(args, args.dim, args.metric, MINKOWSKI), 2)
-    _em_pipeline(report, basis2, "mixed")
-
-
 VERIFY_SUITES = {
     "core": _verify_core,
     "cohomology": _verify_cohomology,
     "decompose": _verify_decompose,
-    "em": _verify_em,
 }
 
 
 def cmd_verify(args, report):
-    if args.suite == "em" and args.dim not in (None, 4):
-        raise ValueError(
-            f"verify --suite em runs on the Minkowski 4-torus and needs --dim 4, "
-            f"got --dim {args.dim}"
-        )
-    if args.dim is None:
-        args.dim = 4 if args.suite == "em" else 2
-    # the em suite runs on a 4-torus, so it takes em's default of 12 points
-    if args.grid is None:
-        args.grid = 12 if args.suite == "em" else 64
     VERIFY_SUITES[args.suite](args, report)
 
 
@@ -365,9 +316,33 @@ def _parse_charges(text):
 
 
 def cmd_em(args, report):
+    """Charges, currents, potentials and action of a preset field F."""
     basis2 = cohomology.build_basis(_grid(args, 4, signature=MINKOWSKI), 2)
     charge_list = _parse_charges(args.charges) if args.charges else None
-    _em_pipeline(report, basis2, args.preset, args.mu0, args.c, charge_list)
+    mu0, c = args.mu0, args.c
+    F = fields.em_preset(args.preset, basis2.grid, basis2, mu0=mu0, c=c, charge_list=charge_list)
+    T2 = cohomology.matrix_T(basis2, basis2)
+    chg = em.charges(F, basis2, mu0=mu0, c=c)
+    JE, JM = em.currents(F, mu0=mu0)
+    AE, AM, dec = em.potentials(F, basis2)
+    act = em.action(F, AE, AM, JE, JM, chg, basis2.E, basis2.P, mu0=mu0, c=c)
+    report.value("qM", chg.qM.tolist())
+    report.value("qE", chg.qE.tolist())
+    report.value("betti_2", basis2.betti)
+    report.value(
+        "action",
+        {
+            "electric": act.electric_term,
+            "magnetic": act.magnetic_term,
+            "quantized": act.quantized_term,
+            "total": act.total,
+        },
+    )
+    report.check("reconstruction", dec.reconstruction_error, 1e-7)
+    report.check(
+        "charge_relations", em.charge_relations(chg.qM, chg.qE, T2)["max"], 1e-8
+    )
+    report.check("action_budget", act.cross_check_residual, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +369,27 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, inputs, grid_default=64):
-        p.add_argument("--grid", type=int, default=grid_default, help="points per axis")
+    def common(p, func):
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument("--json-out", dest="json_out", default=None, help="also write JSON here")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-        p.set_defaults(func=func, inputs=inputs)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run a module invariant battery")
     p.add_argument("--suite", choices=list(VERIFY_SUITES), required=True)
-    p.add_argument("--dim", type=int, default=None, help="2 by default; 4 for --suite em")
+    p.add_argument("--dim", type=int, default=2)
     p.add_argument("--metric", choices=["flat", "embedded-torus"], default="flat")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
-    common(p, cmd_verify, ("suite", "dim", "metric", "grid", "seed"), grid_default=None)
+    p.add_argument("--grid", type=int, default=64, help="points per axis")
+    common(p, cmd_verify)
 
     p = sub.add_parser("torus2", help="2-torus cohomology matrices")
     p.add_argument("--mode", choices=["flat", "embedded"], default="flat")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
-    common(p, cmd_torus2, ("mode", "grid", "R", "r"), grid_default=128)
+    p.add_argument("--grid", type=int, default=128, help="points per axis")
+    common(p, cmd_torus2)
 
     p = sub.add_parser("taxonomy", help="beta_m = 2 solution families")
     p.add_argument(
@@ -427,37 +403,38 @@ def build_parser():
     p.add_argument("--group", choices=list(taxonomy.GROUPS), default=None)
     p.add_argument("--params", default=None, help="JSON dict of free parameters")
     p.add_argument("--draws", type=_positive_int, default=100)
-    common(p, cmd_taxonomy, ("m_parity", "s", "group", "seed"))
+    common(p, cmd_taxonomy)
 
     p = sub.add_parser("decompose", help="Hodge decomposition presets")
     p.add_argument(
         "--preset", choices=["mixed-t2", "exact-t2", "random"], default="mixed-t2"
     )
-    common(p, cmd_decompose, ("preset", "grid", "seed"))
+    p.add_argument("--grid", type=int, default=64, help="points per axis")
+    common(p, cmd_decompose)
 
     p = sub.add_parser("em", help="electromagnetic demo on the Minkowski 4-torus")
     p.add_argument("--preset", choices=["topological", "exact", "mixed"], default="topological")
     p.add_argument("--charges", default=None, help="comma list like 1@01,2@23")
     p.add_argument("--mu0", type=_positive_float, default=1.0)
     p.add_argument("--c", type=_positive_float, default=1.0)
-    common(p, cmd_em, ("preset", "grid", "charges", "mu0", "c"), grid_default=12)
+    p.add_argument("--grid", type=int, default=12, help="points per axis")
+    common(p, cmd_em)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    report = Report(args.command)
+    report = Report(args)
     try:
         args.func(args, report)
-    except tuple(FAILURE_STAGES) as exc:
+    except calculus.NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        report.check(FAILURE_STAGES[type(exc)], exc.residual, exc.tolerance)
+        report.check(exc.stage, exc.residual, exc.tolerance)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.phase(getattr(args, "suite", args.command))
-    report.inputs = {k: getattr(args, k) for k in args.inputs}
-    text = report.to_json(with_timings=args.timings)
+    text = report.to_json()
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")

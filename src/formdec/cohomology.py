@@ -28,9 +28,13 @@ class DualityError(calculus.NumericFailure):
     relative to the row maximum (1 when no single pairing can be read off).
     """
 
+    stage = "duality"
+
 
 class StarExpansionError(calculus.NumericFailure):
     """Raised when star(gamma_a) is not spanned by the dual basis."""
+
+    stage = "star_expansion"
 
 
 @dataclass

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import calculus
-from .mesh import linear_combination
+from .mesh import DiscreteForm, linear_combination
 
 
 def random_trig_form(grid, degree, rng, kmax=3, nmodes=4):
@@ -35,8 +35,7 @@ def mixed_t2(grid, basis):
     """d(sin u) + 3 gamma_1 + 4 gamma_2 on a 2-torus; u = (3, 4) by design."""
     if grid.dim != 2:
         raise ValueError("mixed-t2 preset needs a 2-torus")
-    scalar = grid.constant_form(0, {(): 0.0})
-    scalar.components[()][:] = np.sin(grid.coords[0])
+    scalar = DiscreteForm(grid, 0, {(): np.sin(grid.coords[0])})
     return linear_combination([calculus.d(scalar)] + basis.gammas, [1.0, 3.0, 4.0])
 
 
@@ -44,8 +43,7 @@ def exact_t2(grid):
     """Purely exact 1-form d(sin u + cos 2v) on a 2-torus."""
     if grid.dim != 2:
         raise ValueError("exact-t2 preset needs a 2-torus")
-    scalar = grid.constant_form(0, {(): 0.0})
-    scalar.components[()][:] = np.sin(grid.coords[0]) + np.cos(2.0 * grid.coords[1])
+    scalar = DiscreteForm(grid, 0, {(): np.sin(grid.coords[0]) + np.cos(2.0 * grid.coords[1])})
     return calculus.d(scalar)
 
 

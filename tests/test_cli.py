@@ -213,38 +213,6 @@ def test_verify_decompose_higher_dims(capsys, dim):
     assert all(c["pass"] for c in doc["checks"])
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_verify_em_rejects_other_dims(capsys, dim):
-    code = cli.main(["verify", "--suite", "em", "--dim", str(dim), "--grid", "8"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "--dim 4" in captured.err
-
-
-def test_verify_em_dim_4_is_the_default(capsys):
-    code, doc = run(capsys, ["verify", "--suite", "em", "--grid", "8"])
-    assert code == 0
-    code, explicit = run(capsys, ["verify", "--suite", "em", "--dim", "4", "--grid", "8"])
-    assert code == 0
-    assert explicit == doc
-
-
-def test_verify_em_default_grid_is_12(capsys, monkeypatch):
-    # the verify default of 64 points per axis would build a 64^4 torus (805 MB
-    # per 2-form), so the grid is checked before the suite allocates anything
-    suite = cli.VERIFY_SUITES["em"]
-
-    def checked(args, report):
-        assert args.grid == 12
-        suite(args, report)
-
-    monkeypatch.setitem(cli.VERIFY_SUITES, "em", checked)
-    code, doc = run(capsys, ["verify", "--suite", "em"])
-    assert code == 0
-    assert doc["inputs"]["grid"] == 12
-
-
 def test_em_reports_no_maxwell_checks(capsys):
     # with the currents computed from F, both Maxwell residuals are 0 by construction
     code, doc = run(capsys, ["em", "--preset", "mixed", "--grid", "8"])
@@ -320,8 +288,58 @@ def test_verify_inputs_record_dim_and_metric(capsys):
     assert code == 0
     code, curved = run(capsys, argv + ["--metric", "embedded-torus"])
     assert code == 0
-    assert flat["inputs"] == {"suite": "cohomology", "dim": 2, "metric": "flat", "grid": 32, "seed": 0}
+    assert flat["inputs"] == {
+        "suite": "cohomology", "dim": 2, "metric": "flat", "R": 2.0, "r": 1.0, "grid": 32, "seed": 0
+    }
     assert curved["inputs"] == dict(flat["inputs"], metric="embedded-torus")
+
+
+def test_inputs_differ_when_R_differs(capsys):
+    # R changes T on the embedded torus, so it must be recorded
+    argv = ["verify", "--suite", "cohomology", "--grid", "32", "--metric", "embedded-torus"]
+    code, R2 = run(capsys, argv + ["--R", "2"])
+    assert code == 0
+    code, R3 = run(capsys, argv + ["--R", "3"])
+    assert code == 0
+    assert R2["matrices"]["T"] != R3["matrices"]["T"]
+    assert (R2["inputs"]["R"], R3["inputs"]["R"]) == (2.0, 3.0)
+
+
+def test_taxonomy_inputs_carry_params_and_draws(capsys):
+    params = '{"E12": 1, "lam11": 1, "lam12": 0}'
+    code, doc = run(capsys, ["taxonomy", "--group", "S2.1.3", "--params", params])
+    assert code == 0
+    assert doc["inputs"]["params"] == params
+    code, doc = run(capsys, ["taxonomy", "--group", "S2.2.2", "--s", "1", "--draws", "7"])
+    assert code == 0
+    assert doc["inputs"]["draws"] == 7 and doc["inputs"]["params"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the electromagnetic battery is `em --preset mixed`
+        ["verify", "--suite", "em", "--grid", "8"],
+        # taxonomy builds no grid
+        ["taxonomy", "--grid", "8"],
+    ],
+)
+def test_removed_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+
+
+def test_every_numeric_failure_has_a_stage():
+    subclasses = calculus.NumericFailure.__subclasses__()
+    assert {cls.__name__ for cls in subclasses} >= {
+        "GreenSolveError", "DualityError", "StarExpansionError"
+    }
+    stages = [cls.stage for cls in subclasses]
+    assert all(isinstance(stage, str) and stage for stage in stages)
+    assert len(set(stages)) == len(stages)
 
 
 def test_em_topological_reports_no_continuous_terms_check(capsys):
@@ -343,8 +361,6 @@ def test_em_topological_reports_no_continuous_terms_check(capsys):
             "identity_e_transpose",
         ),
         (["verify", "--suite", "cohomology", "--grid", "8", "--dim", "4"], "identity_e_transpose"),
-        # the suite runs on the 4-torus only, where betti_2 = 6 is even
-        (["verify", "--suite", "em", "--grid", "8"], "betti_2_even"),
     ],
 )
 def test_verify_reports_no_literal_zero(capsys, argv, name):

@@ -2,7 +2,9 @@
 
 star star = (-1)^D, dd = 0, delta delta = 0 and the adjointness
 (d c, a) = (c, delta a) at every degree, on the generated grids of
-test_stencil_properties, with the bounds of `formdec verify --suite core`.
+test_stencil_properties, with the bounds of `formdec verify --suite core`;
+and the E/T/Lambda identities of verify_pair at every degree 1..n-1 on
+generated flat grids, with the flat bound of `--suite cohomology`.
 
 delta delta = 0 holds to that bound on flat grids only.  On the embedded
 torus its residual is the rounding of dd on star(f) = f / sqrt|g|, which
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from formdec import GridSpec, build_grid, calculus
+from formdec import GridSpec, build_grid, calculus, cohomology
 from test_stencil_properties import FAST, any_grids, flat_grids, random_form
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -72,3 +74,11 @@ def test_adjointness(grid, seed):
         lhs = calculus.pairing(calculus.d(c), a)
         rhs = calculus.pairing(c, calculus.delta(a))
         assert abs(lhs - rhs) <= 1e-8
+
+
+@FAST
+@given(grid=flat_grids(min_dim=2))
+def test_verify_pair_on_flat_grids(grid):
+    for p in range(1, grid.dim):
+        _, residuals = cohomology.verify_pair(cohomology.build_basis(grid, p))
+        assert max(residuals.values()) <= 1e-10
