@@ -127,7 +127,6 @@ def _add_d(out, components, n, deriv):
                 out[K] += deriv(comp, a)
             else:
                 out[K] -= deriv(comp, a)
-    return out
 
 
 def star(f: DiscreteForm) -> DiscreteForm:
@@ -137,8 +136,10 @@ def star(f: DiscreteForm) -> DiscreteForm:
     sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}(signature_i / g_ii).
     """
     grid = f.grid
-    comps = {Ic: coeff * f.components[I] for I, Ic, coeff in _star_terms(grid, f.degree)}
-    return DiscreteForm(grid, grid.dim - f.degree, comps)
+    out = DiscreteForm(grid, grid.dim - f.degree, np.empty_like(f.values))
+    for I, Ic, coeff in _star_terms(grid, f.degree):
+        np.multiply(coeff, f.components[I], out=out.components[Ic])
+    return out
 
 
 def _star_terms(grid, p):
@@ -253,21 +254,21 @@ def _rfft_symbols(grid):
     return cache["rfft"]
 
 
-def _irfftn(spectrum, grid):
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=range(grid.dim))
+def _rfftn(values, grid):
+    return np.fft.rfftn(values, axes=range(1, grid.dim + 1))
+
+
+def _irfftn(spectra, grid):
+    return np.fft.irfftn(spectra, s=grid.shape, axes=range(1, grid.dim + 1))
 
 
 def _green_form(grid, degree, spectra, green):
-    """G(source) as a form, from the rfftn spectra of the source.
+    """G(source) as a form, from the stacked rfftn spectra of the source.
 
-    Each spectrum is multiplied in place and freed once inverted.
+    The spectra are multiplied by G in place, then inverted in one irfftn.
     """
-    comps = {}
-    for K in list(spectra):
-        spec = spectra.pop(K)
-        spec *= green
-        comps[K] = _irfftn(spec, grid)
-    return DiscreteForm(grid, degree, comps)
+    spectra *= green
+    return DiscreteForm(grid, degree, _irfftn(spectra, grid))
 
 
 def flat_potentials(phi):
@@ -278,27 +279,34 @@ def flat_potentials(phi):
     of phi: the spectra go through the index and sign bookkeeping of d and
     star (_add_d, _star_terms) with each stencil partial replaced by its
     symbol i sigma_a, and G multiplies by the masked inverse of the
-    Laplacian symbol.  One rfftn per component of phi, one irfftn per
-    component of alpha and beta.  alpha is None when p = 0 and beta when
-    p = n.
+    Laplacian symbol.  One rfftn of the stacked components of phi, one
+    irfftn each of the stacked components of alpha and beta.  alpha is None
+    when p = 0 and beta when p = n.
     """
     grid, p = phi.grid, phi.degree
     n = grid.dim
     isig, _, green, _ = _rfft_symbols(grid)
     term = np.empty(green.shape, complex)
 
+    def keyed(spectra, q):
+        return dict(zip(grid.components_of_degree(q), spectra))
+
+    def isig_times(comp, a):
+        return np.multiply(isig[a], comp, out=term)
+
     def d_hat(spectra, q):
-        out = {K: np.zeros(green.shape, complex) for K in grid.components_of_degree(q + 1)}
-        return _add_d(out, spectra, n, lambda comp, a: np.multiply(isig[a], comp, out=term))
+        out = np.zeros((math.comb(n, q + 1),) + green.shape, complex)
+        _add_d(keyed(out, q + 1), keyed(spectra, q), n, isig_times)
+        return out
 
     def star_hat(spectra, q, scale=1.0):
-        # in place: no spectrum is used again once starred
-        return {
-            Ic: np.multiply(spectra[I], coeff * scale, out=spectra[I])
-            for I, Ic, coeff in _star_terms(grid, q)
-        }
+        # in place: no spectrum is used again once starred; the complements of
+        # the sorted degree-q tuples are the sorted degree-(n-q) ones reversed
+        for spec, (_, _, coeff) in zip(spectra, _star_terms(grid, q)):
+            np.multiply(spec, coeff * scale, out=spec)
+        return spectra[::-1]
 
-    phat = {I: np.fft.rfftn(comp) for I, comp in phi.components.items()}
+    phat = _rfftn(phi.values, grid)
     beta_hat = d_hat(phat, p) if p < n else None
     if p > 0:
         sgn = -1.0 if sign_C(p, n, grid.neg_count) else 1.0
@@ -310,25 +318,23 @@ def flat_potentials(phi):
 
 
 def _component_weights(grid, p):
-    """Positive diagonal weights of the metric pairing, per component."""
-    weights = {}
+    """Positive diagonal weights of the metric pairing, stacked per component."""
+    weights = []
     for I in grid.components_of_degree(p):
         w = grid.sqrt_abs_g
         for i in I:
             w = w / grid.metric_diag[i]
-        weights[I] = w
-    return weights
+        weights.append(w)
+    return np.stack(weights)
 
 
 def _green_solve_flat(source, tol):
     grid = source.grid
     p = source.degree
     _, mask, green, deflated = _rfft_symbols(grid)
-    deflated *= len(source.components)
-    spectra = {I: np.fft.rfftn(comp) for I, comp in source.components.items()}
-    proj = DiscreteForm(
-        grid, p, {I: _irfftn(np.where(mask, 0.0, shat), grid) for I, shat in spectra.items()}
-    )
+    deflated *= len(source.values)
+    spectra = _rfftn(source.values, grid)
+    proj = DiscreteForm(grid, p, _irfftn(np.where(mask, 0.0, spectra), grid))
     theta = _green_form(grid, p, spectra, green)
     src_norm = _l2(source)
     if src_norm == 0.0:
@@ -352,23 +358,16 @@ def _green_solve_curved(source, tol):
     if grid.neg_count != 0:
         raise NotImplementedError("curved metrics are supported only for s = 0")
     p = source.degree
-    comps = grid.components_of_degree(p)
-    weights = _component_weights(grid, p)
-    sqw = {I: np.sqrt(weights[I]) for I in comps}
-    npts = int(np.prod(grid.shape))
-    size = npts * len(comps)
+    sqw = np.sqrt(_component_weights(grid, p))
+    shape = source.values.shape
+    size = source.values.size
+    axes = range(1, grid.dim + 1)
 
     def to_vec(form):
-        return np.concatenate(
-            [(form.components[I] * sqw[I]).ravel() for I in comps]
-        )
+        return (form.values * sqw).ravel()
 
     def to_form(vec):
-        blocks = {
-            I: vec[k * npts : (k + 1) * npts].reshape(grid.shape) / sqw[I]
-            for k, I in enumerate(comps)
-        }
-        return DiscreteForm(grid, p, blocks)
+        return DiscreteForm(grid, p, vec.reshape(shape) / sqw)
 
     def matvec(vec):
         return to_vec(laplacian(to_form(vec)))
@@ -394,13 +393,9 @@ def _green_solve_curved(source, tol):
     inv_sym = 1.0 / np.clip(abs_sym, floor, None)
 
     def precond(vec):
-        out = np.empty_like(vec)
-        for k in range(len(comps)):
-            block = vec[k * npts : (k + 1) * npts].reshape(grid.shape)
-            sol = np.fft.ifftn(np.fft.fftn(block) * inv_sym).real
-            out[k * npts : (k + 1) * npts] = sol.ravel()
         # no deflation here: minres needs a symmetric positive definite M
-        return out
+        spectra = np.fft.fftn(vec.reshape(shape), axes=axes) * inv_sym
+        return np.fft.ifftn(spectra, axes=axes).real.ravel()
 
     b = deflate(to_vec(source))
     b_norm = np.linalg.norm(b)

@@ -52,8 +52,8 @@ class CohomologyBasis:
     gammas: list
     cycles: list  # axis tuple of each coordinate cycle, one per gamma
     normalization_residual: float
-    d_residual: float | None = None
-    delta_residual: float | None = None
+    d_residual: float | None
+    delta_residual: float | None
     E: np.ndarray = field(init=False, repr=False, compare=False)
     P: np.ndarray = field(init=False, repr=False, compare=False)
     # None at the middle degree: a reference to itself would keep the basis

@@ -8,26 +8,27 @@ import numpy as np
 from . import calculus
 from .mesh import DiscreteForm, linear_combination
 
+KMAX = 3
+NMODES = 4
 
-def random_trig_form(grid, degree, rng, kmax=3, nmodes=4):
+
+def random_trig_form(grid, degree, rng):
     """Random form whose components are trig polynomials below Nyquist.
 
-    Each component is a sum of `nmodes` waves amp*cos(k.x + phase) with
-    integer wave vectors bounded by kmax, so derivatives and integrals
+    Each component is a sum of NMODES waves amp*cos(k.x + phase) with
+    integer wave vectors bounded by KMAX, so derivatives and integrals
     are exact for the spectral-accuracy arguments used in the checks.
     """
     f = grid.zeros(degree)
-    for I in f.components:
-        comp = np.zeros(grid.shape)
-        for _ in range(nmodes):
-            k = rng.integers(-kmax, kmax + 1, size=grid.dim)
+    for comp in f.values:
+        for _ in range(NMODES):
+            k = rng.integers(-KMAX, KMAX + 1, size=grid.dim)
             amp = float(rng.uniform(-1.0, 1.0))
             phase = float(rng.uniform(0.0, 2.0 * np.pi))
             arg = phase
             for a in range(grid.dim):
                 arg = arg + (2.0 * np.pi * k[a] / grid.spec.periods[a]) * grid.coords[a]
-            comp = comp + amp * np.cos(arg)
-        f.components[I][:] = comp
+            comp += amp * np.cos(arg)
     return f
 
 
@@ -35,7 +36,8 @@ def mixed_t2(grid, basis):
     """d(sin u) + 3 gamma_1 + 4 gamma_2 on a 2-torus; u = (3, 4) by design."""
     if grid.dim != 2:
         raise ValueError("mixed-t2 preset needs a 2-torus")
-    scalar = DiscreteForm(grid, 0, {(): np.sin(grid.coords[0])})
+    sin_u = np.broadcast_to(np.sin(grid.coords[0]), (1,) + grid.shape)
+    scalar = DiscreteForm(grid, 0, sin_u.copy())
     return linear_combination([calculus.d(scalar)] + basis.gammas, [1.0, 3.0, 4.0])
 
 
@@ -43,7 +45,7 @@ def exact_t2(grid):
     """Purely exact 1-form d(sin u + cos 2v) on a 2-torus."""
     if grid.dim != 2:
         raise ValueError("exact-t2 preset needs a 2-torus")
-    scalar = DiscreteForm(grid, 0, {(): np.sin(grid.coords[0]) + np.cos(2.0 * grid.coords[1])})
+    scalar = DiscreteForm(grid, 0, (np.sin(grid.coords[0]) + np.cos(2.0 * grid.coords[1]))[None])
     return calculus.d(scalar)
 
 

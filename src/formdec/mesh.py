@@ -86,6 +86,8 @@ class GridSpec:
 class PeriodicGrid:
     """An n-torus sampling lattice with a diagonal, position-dependent metric.
 
+    `coords[a]` holds the node coordinates along axis a, shaped to broadcast
+    against the grid: (N_a,) on axis a and length 1 on every other axis.
     `metric_diag[a]` holds the positive scale factor |g_aa|; the sign of g_aa
     is carried separately by `spec.signature`.  `metric_diag` and
     `sqrt_abs_g` are stored with length-1 axes wherever the metric is
@@ -98,10 +100,8 @@ class PeriodicGrid:
         self.spec = spec
         self.shape = spec.points
         self.steps = tuple(L / N for L, N in zip(spec.periods, spec.points))
-        axes_1d = [
-            np.arange(N) * h for N, h in zip(spec.points, self.steps)
-        ]
-        self.coords = np.meshgrid(*axes_1d, indexing="ij")
+        axes_1d = [np.arange(N) * h for N, h in zip(spec.points, self.steps)]
+        self.coords = np.meshgrid(*axes_1d, indexing="ij", sparse=True)
         self.metric_diag = self._build_metric()
         if np.any(self.metric_diag <= 0):
             raise ValueError("degenerate metric: scale factors must stay positive")
@@ -160,11 +160,8 @@ class PeriodicGrid:
         return list(itertools.combinations(range(self.dim), p))
 
     def zeros(self, degree):
-        return DiscreteForm(
-            self,
-            degree,
-            {I: np.zeros(self.shape) for I in self.components_of_degree(degree)},
-        )
+        count = len(self.components_of_degree(degree))
+        return DiscreteForm(self, degree, np.zeros((count,) + self.shape))
 
     def constant_form(self, degree, values):
         """Form whose component I is the constant values[I] (missing keys are 0)."""
@@ -175,8 +172,7 @@ class PeriodicGrid:
 
     def volume_form(self):
         """Top form with component sqrt|g| (the Riemannian/pseudo volume Omega)."""
-        top = tuple(range(self.dim))
-        return DiscreteForm(self, self.dim, {top: self._full(self.sqrt_abs_g)})
+        return DiscreteForm(self, self.dim, self._full(self.sqrt_abs_g)[None])
 
     def unit_form(self):
         """Top form normalized so its manifold integral is one."""
@@ -192,50 +188,39 @@ def build_grid(spec: GridSpec) -> PeriodicGrid:
 class DiscreteForm:
     """Degree-p antisymmetric component field sampled on the grid.
 
-    Components are keyed by strictly increasing index tuples; a degree-p
-    form carries exactly C(n, p) component arrays.
+    `values` stacks the C(n, p) component arrays into one float array of
+    shape (C(n, p),) + grid.shape, in the order of
+    grid.components_of_degree(p).  `components` maps each strictly
+    increasing index tuple to its row of `values`, a view: a write through
+    either one is seen by the other.
     """
 
-    def __init__(self, grid, degree, components):
+    def __init__(self, grid, degree, values):
         self.grid = grid
         self.degree = degree
-        expected = set(grid.components_of_degree(degree))
-        keys = set(components)
-        if keys != expected:
+        keys = grid.components_of_degree(degree)
+        values = np.asarray(values)
+        shape = (len(keys),) + grid.shape
+        if values.shape != shape:
             raise ValueError(
-                f"degree-{degree} form needs components {sorted(expected)}, "
-                f"got {sorted(keys)}"
+                f"degree-{degree} form needs values of shape {shape}, got {values.shape}"
             )
-        self.components = {I: np.asarray(components[I], dtype=float) for I in sorted(components)}
-        for I, arr in self.components.items():
-            if arr.shape != grid.shape:
-                raise ValueError(f"component {I} has shape {arr.shape}, grid is {grid.shape}")
+        self.values = values.astype(float, copy=False)
+        self.components = dict(zip(keys, self.values))
 
     def copy(self):
-        return DiscreteForm(
-            self.grid, self.degree, {I: a.copy() for I, a in self.components.items()}
-        )
+        return DiscreteForm(self.grid, self.degree, self.values.copy())
 
     def __add__(self, other):
         self._check_compatible(other)
-        return DiscreteForm(
-            self.grid,
-            self.degree,
-            {I: self.components[I] + other.components[I] for I in self.components},
-        )
+        return DiscreteForm(self.grid, self.degree, self.values + other.values)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return DiscreteForm(
-            self.grid,
-            self.degree,
-            {I: self.components[I] - other.components[I] for I in self.components},
-        )
+        return DiscreteForm(self.grid, self.degree, self.values - other.values)
 
     def __mul__(self, scalar):
-        return DiscreteForm(
-            self.grid, self.degree, {I: a * scalar for I, a in self.components.items()}
-        )
+        return DiscreteForm(self.grid, self.degree, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -247,9 +232,8 @@ class DiscreteForm:
             raise ValueError("forms must live on the same grid with equal degree")
 
     def norm_inf(self):
-        return max(
-            (float(np.max(np.abs(a))) for a in self.components.values()), default=0.0
-        )
+        """Largest |component| over the grid; NaN if any entry is NaN."""
+        return float(np.max(np.abs(self.values)))
 
 
 def linear_combination(forms, coeffs):
@@ -259,11 +243,10 @@ def linear_combination(forms, coeffs):
     adding them one at a time to grid.zeros(degree).
     """
     out = forms[0].grid.zeros(forms[0].degree)
-    term = np.empty(out.grid.shape)
+    term = np.empty(out.values.shape)
     for f, c in zip(forms, coeffs, strict=True):
         out._check_compatible(f)
-        for I, acc in out.components.items():
-            acc += np.multiply(f.components[I], c, out=term)
+        out.values += np.multiply(f.values, c, out=term)
     return out
 
 

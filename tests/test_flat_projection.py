@@ -48,8 +48,8 @@ def off_kernel_form(grid, p, seed):
     """random_form without the deflated modes, which belong to the residue."""
     mask = deflation_mask(grid)
     raw = random_form(grid, p, seed)
-    comps = {I: np.fft.ifftn(np.where(mask, 0.0, np.fft.fftn(c))) for I, c in raw.components.items()}
-    return DiscreteForm(grid, p, {I: c.real for I, c in comps.items()})
+    comps = [np.fft.ifftn(np.where(mask, 0.0, np.fft.fftn(c))).real for c in raw.values]
+    return DiscreteForm(grid, p, np.stack(comps))
 
 
 def check_projection(grid, seed):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from formdec import (
     GridSpec,
@@ -12,8 +14,8 @@ from formdec import (
     wedge_integral,
 )
 from formdec import calculus
-from formdec.mesh import linear_combination
-from test_stencil_properties import random_form
+from formdec.mesh import DiscreteForm, linear_combination
+from test_stencil_properties import FAST, any_grids, random_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,6 +121,40 @@ def test_linear_combination_matches_sequential_sum(dim, p):
         linear_combination(forms, coeffs[:-1])
     with pytest.raises(ValueError):
         linear_combination([forms[0], grid.zeros(p - 1)], [1.0, 1.0])
+
+
+@FAST
+@given(grid=any_grids(), seed=st.integers(0, 2**32 - 1))
+def test_components_are_rows_of_values(grid, seed):
+    first, last = (0,) * grid.dim, (-1,) * grid.dim
+    for p in range(grid.dim + 1):
+        keys = grid.components_of_degree(p)
+        f = random_form(grid, p, seed)
+        assert f.values.shape == (len(keys),) + grid.shape
+        assert list(f.components) == keys
+        for k, I in enumerate(keys):
+            row = f.components[I]
+            assert np.shares_memory(row, f.values[k])
+            assert np.array_equal(row, f.values[k])
+            row[first] = 1.5 + k
+            assert f.values[k][first] == 1.5 + k
+            f.values[k][last] = -2.5 - k
+            assert row[last] == -2.5 - k
+        for bad in (
+            np.zeros((len(keys) + 1,) + grid.shape),
+            np.zeros(grid.shape),
+            f.values[..., :-1],
+            dict(f.components),
+        ):
+            with pytest.raises(ValueError):
+                DiscreteForm(grid, p, bad)
+
+
+def test_norm_inf_propagates_nan(t2_flat):
+    # a NaN outside the first component must not read as a finite norm
+    f = t2_flat.constant_form(1, {(0,): 2.0})
+    f.components[(1,)][3, 5] = np.nan
+    assert math.isnan(f.norm_inf())
 
 
 def test_integrate_unit_form(t2_flat, t2_embedded):

@@ -56,11 +56,8 @@ def sample(shape, seed):
 
 
 def random_form(grid, p, seed):
-    return DiscreteForm(
-        grid,
-        p,
-        {I: sample(grid.shape, seed + k) for k, I in enumerate(grid.components_of_degree(p))},
-    )
+    count = len(grid.components_of_degree(p))
+    return DiscreteForm(grid, p, np.stack([sample(grid.shape, seed + k) for k in range(count)]))
 
 
 @st.composite
@@ -141,7 +138,8 @@ def test_volume_and_weights_match_full_metric(grid):
     assert identical(omega, sqrt_g)
     assert omega.flags.c_contiguous and omega.flags.writeable
     for p in range(grid.dim + 1):
-        for I, w in calculus._component_weights(grid, p).items():
+        weights = calculus._component_weights(grid, p)
+        for I, w in zip(grid.components_of_degree(p), weights, strict=True):
             ref = sqrt_g.copy()
             for i in I:
                 ref = ref / metric[i]
@@ -157,3 +155,28 @@ def test_metric_factors_are_broadcastable(grid):
     assert grid.sqrt_abs_g.shape == expected[1:]
     assert not grid.metric_diag.flags.writeable
     assert not grid.sqrt_abs_g.flags.writeable
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@FAST
+@given(grid=flat_grids(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_ffts_match_per_component(grid, seed):
+    # a form's components are transformed in one call over axes 1..n, also
+    # through the reversed view that star takes in Fourier space; each row
+    # must be the transform of that component alone, bit for bit
+    axes, axes_k = range(1, grid.dim + 1), range(grid.dim)
+    for p in range(grid.dim + 1):
+        values = random_form(grid, p, seed).values
+        spectra = calculus._rfftn(values, grid)
+        back = calculus._irfftn(spectra, grid)
+        assert same_bits(calculus._irfftn(spectra[::-1], grid)[::-1], back)
+        full = np.fft.fftn(values, axes=axes)
+        full_back = np.fft.ifftn(full, axes=axes)
+        for k, comp in enumerate(values):
+            assert same_bits(spectra[k], np.fft.rfftn(comp))
+            assert same_bits(back[k], np.fft.irfftn(spectra[k], s=grid.shape, axes=axes_k))
+            assert same_bits(full[k], np.fft.fftn(comp))
+            assert same_bits(full_back[k], np.fft.ifftn(full[k]))
