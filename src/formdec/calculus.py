@@ -12,9 +12,11 @@ near-null modes (constants, and light-cone modes in indefinite signature)
 are deflated and the minimum-norm solution returned.  flat_potentials gives
 the Hodge potentials G(delta phi) and G(d phi) as one real-FFT projection,
 with d and star applied to the spectra by the same bookkeeping as the
-stencil operators.  On curved Riemannian metrics a MINRES iteration on the
-symmetrized operator is used, preconditioned by the inverse of the flat
-symbol.
+stencil operators.  The curved metric (the embedded torus) depends on v
+alone, so its 0-form Green solve is direct: a real FFT along u and one
+cached eigendecomposition along v diagonalize the stencil Laplacian (fast
+diagonalization), refined once against the stencil; top forms are solved
+through star.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .mesh import DiscreteForm, merge_sign, wedge_integral
 
 DEFLATION_TOL = 1e-10
-MAX_MINRES_ITERS = 5000
 
 # eighth-order central first-derivative coefficients for offsets 1..4
 _STENCIL = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
@@ -50,6 +51,9 @@ class GreenSolveError(NumericFailure):
 
 @dataclass
 class SolveReport:
+    """Direct solves applied (2 on curved grids, one of them a refinement), the
+    relative residual against the stencil Laplacian, and the deflated modes."""
+
     iterations: int
     relative_residual: float
     deflated_dims: int
@@ -317,128 +321,83 @@ def flat_potentials(phi):
     return alpha, beta
 
 
-def _component_weights(grid, p):
-    """Positive diagonal weights of the metric pairing, stacked per component."""
-    weights = []
-    for I in grid.components_of_degree(p):
-        w = grid.sqrt_abs_g
-        for i in I:
-            w = w / grid.metric_diag[i]
-        weights.append(w)
-    return np.stack(weights)
-
-
-def _green_solve_flat(source, tol):
+def _green_solve_flat(source):
     grid = source.grid
-    p = source.degree
     _, mask, green, deflated = _rfft_symbols(grid)
-    deflated *= len(source.values)
     spectra = _rfftn(source.values, grid)
-    proj = DiscreteForm(grid, p, _irfftn(np.where(mask, 0.0, spectra), grid))
-    theta = _green_form(grid, p, spectra, green)
-    src_norm = _l2(source)
-    if src_norm == 0.0:
-        return theta, SolveReport(0, 0.0, deflated)
-    res = _l2(laplacian(theta) - proj) / src_norm
-    if res > tol:
-        raise GreenSolveError(f"flat Green solve residual {res:.3e} > {tol:.3e}", res, tol)
-    return theta, SolveReport(1, res, deflated)
+    proj = DiscreteForm(grid, source.degree, _irfftn(np.where(mask, 0.0, spectra), grid))
+    theta = _green_form(grid, source.degree, spectra, green)
+    return theta, proj, SolveReport(1, 0.0, deflated * len(source.values))
 
 
 def _l2(form):
     return math.sqrt(sum(float(np.sum(a * a)) for a in form.components.values()))
 
 
-def _green_solve_curved(source, tol):
-    # imported here: only this solve needs it, and it is most of the import
-    # time of the package
-    from scipy.sparse import linalg as spla
+def _curved_symbols(grid):
+    """Fast diagonalization of the curved 0-form Laplacian, cached on the grid.
 
+    The embedded-torus metric depends on v alone, so sqrt|g| times the
+    stencil Laplacian is sigma_k^2 A + K on u mode k, with A = diag(sqrt|g|
+    / g_uu), K = D^t diag(sqrt|g| / g_vv) D and D the v-stencil matrix.
+    eigh of A^-1/2 K A^-1/2 gives V with V^t A V = I, V^t K V = diag(lambda)
+    for every mode at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    Returns (V, the masked inverse of sigma_k^2 + lambda_j in rfft-along-u
+    layout, the deflated count), masked and counted as in _rfft_symbols.
+    """
+    cache = grid._symbol_cache
+    if "curved" not in cache:
+        g_uu, g_vv = grid.metric_diag[:, 0]
+        sqrt_g = grid.sqrt_abs_g[0]
+        # the partial of the identity along its second axis is D^t
+        Dt = partial(np.eye(grid.shape[1]), 1, grid)
+        K = (Dt * (sqrt_g / g_vv)) @ Dt.T
+        a_isqrt = np.sqrt(g_uu / sqrt_g)
+        lam, W = np.linalg.eigh(a_isqrt[:, None] * K * a_isqrt)
+        V = a_isqrt[:, None] * W
+        sigma_u = _axis_symbols(grid)[0][: grid.shape[0] // 2 + 1]
+        sym = (sigma_u * sigma_u)[:, None] + lam
+        mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
+        green = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, sym))
+        deflated = 2 * int(mask.sum()) - int(mask[0].sum()) - int(mask[-1].sum())
+        cache["curved"] = (V, green, deflated)
+    return cache["curved"]
+
+
+def _green_solve_curved(source):
+    """G of a 0-form by fast diagonalization, refined once; top forms as star G star.
+
+    On T^2, star laplacian = laplacian star on 2-forms.  The source is
+    projected off the constants under the metric pairing, the direct solve
+    is refined by one step against the stencil laplacian, and theta is
+    returned orthogonal to the constants under the pairing.
+    """
     grid = source.grid
     if grid.neg_count != 0:
         raise NotImplementedError("curved metrics are supported only for s = 0")
-    p = source.degree
-    sqw = np.sqrt(_component_weights(grid, p))
-    shape = source.values.shape
-    size = source.values.size
-    axes = range(1, grid.dim + 1)
-
-    def to_vec(form):
-        return (form.values * sqw).ravel()
-
-    def to_form(vec):
-        return DiscreteForm(grid, p, vec.reshape(shape) / sqw)
-
-    def matvec(vec):
-        return to_vec(laplacian(to_form(vec)))
-
-    # only the constant 0-form is deflated (as a unit vector in the
-    # symmetrized coordinates): the sources solved at higher degree, d or
-    # delta of a form, are already orthogonal to the harmonic forms
-    kvecs = []
-    if p == 0:
-        const = to_vec(grid.constant_form(0, {(): 1.0}))
-        kvecs.append(const * (1.0 / math.sqrt(np.dot(const, const))))
-
-    def deflate(vec):
-        for k in kvecs:
-            vec = vec - k * np.dot(k, vec)
-        return vec
-
-    # preconditioner: flat symbol inverse; near-null modes are clipped to
-    # the smallest invertible symbol so M stays positive definite without
-    # wildly amplifying the (already deflated) kernel directions
-    abs_sym = np.abs(laplacian_symbol(grid))
-    floor = float(np.min(abs_sym[abs_sym > DEFLATION_TOL * float(np.max(abs_sym))]))
-    inv_sym = 1.0 / np.clip(abs_sym, floor, None)
-
-    def precond(vec):
-        # no deflation here: minres needs a symmetric positive definite M
-        spectra = np.fft.fftn(vec.reshape(shape), axes=axes) * inv_sym
-        return np.fft.ifftn(spectra, axes=axes).real.ravel()
-
-    b = deflate(to_vec(source))
-    b_norm = np.linalg.norm(b)
-    src_norm = np.linalg.norm(to_vec(source))
-    if src_norm == 0.0 or b_norm <= 1e-15 * max(src_norm, 1.0):
-        return grid.zeros(p), SolveReport(0, 0.0, len(kvecs))
-
-    A = spla.LinearOperator((size, size), matvec=lambda v: deflate(matvec(deflate(v))))
-    M = spla.LinearOperator((size, size), matvec=precond)
-    iters = [0]
-
-    def cb(_):
-        iters[0] += 1
-
-    # minres stops on the preconditioned residual, which can undershoot
-    # the true one; restart with a tighter target until the contract holds
-    rtol = tol * 1e-2
-    x = None
-    res = math.inf
-    theta = None
-    for _ in range(6):
-        try:
-            x, _ = spla.minres(
-                A, b, M=M, rtol=rtol, maxiter=MAX_MINRES_ITERS, x0=x, callback=cb
-            )
-        except TypeError:  # scipy < 1.12 spells the tolerance 'tol'
-            x, _ = spla.minres(
-                A, b, M=M, tol=rtol, maxiter=MAX_MINRES_ITERS, x0=x, callback=cb
-            )
-        x = deflate(x)
-        theta = to_form(x)
-        res = _l2(laplacian(theta) - to_form(b)) / _l2(source)
-        if res <= tol or iters[0] >= MAX_MINRES_ITERS:
-            break
-        rtol *= 1e-2
-    if res > tol:
-        raise GreenSolveError(
-            f"Green solve did not reach tol={tol:.1e} after {iters[0]} iterations "
-            f"(best residual {res:.3e})",
-            res,
-            tol,
+    if source.degree == grid.dim:
+        theta, proj, report = _green_solve_curved(star(source))
+        return star(theta), star(proj), report
+    if source.degree != 0:
+        raise NotImplementedError(
+            f"curved Green solve supports degrees 0 and {grid.dim}, got {source.degree}"
         )
-    return theta, SolveReport(iters[0], res, len(kvecs))
+    V, green, deflated = _curved_symbols(grid)
+    sqrt_g = grid.sqrt_abs_g
+    weight = float(np.sum(grid._full(sqrt_g)))
+
+    def off_constants(values):
+        return values - float(np.sum(values * sqrt_g)) / weight
+
+    def solve(values):
+        spectra = np.fft.rfft((values[0] * sqrt_g) @ V, axis=0) * green
+        return np.fft.irfft(spectra, n=grid.shape[0], axis=0) @ V.T
+
+    proj = DiscreteForm(grid, 0, off_constants(source.values))
+    theta = DiscreteForm(grid, 0, solve(proj.values)[None])
+    theta.values += solve((proj - laplacian(theta)).values)
+    theta = DiscreteForm(grid, 0, off_constants(theta.values))
+    return theta, proj, SolveReport(2, 0.0, deflated)
 
 
 def green_solve(source, tol=1e-10):
@@ -446,8 +405,17 @@ def green_solve(source, tol=1e-10):
 
     The source is first projected off the operator's near-kernel
     (constants and, in indefinite signature, discrete light-cone modes).
-    Returns (theta, SolveReport).
+    Flat grids divide by the Laplacian symbol; curved ones solve degrees 0
+    and n by fast diagonalization (_green_solve_curved) and raise
+    NotImplementedError for any other degree.  A relative residual above
+    tol raises GreenSolveError.  Returns (theta, SolveReport).
     """
-    if source.grid.is_flat:
-        return _green_solve_flat(source, tol)
-    return _green_solve_curved(source, tol)
+    solve = _green_solve_flat if source.grid.is_flat else _green_solve_curved
+    theta, proj, report = solve(source)
+    src_norm = _l2(source)
+    if src_norm == 0.0:
+        return theta, SolveReport(0, 0.0, report.deflated_dims)
+    report.relative_residual = res = _l2(laplacian(theta) - proj) / src_norm
+    if res > tol:
+        raise GreenSolveError(f"Green solve residual {res:.3e} > {tol:.3e}", res, tol)
+    return theta, report

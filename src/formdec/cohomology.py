@@ -42,9 +42,9 @@ class CohomologyBasis:
     """Harmonic representatives gamma_a of degree p, one per coordinate cycle.
 
     build_basis also links the degree-(n-p) basis, dual, and sets
-    E, P = matrix_E(self, dual).  The closure residuals are None where no
-    projection ran (flat metrics, degree 0): there every stencil difference
-    of the constant seeds is exactly 0.  d_residual is None at the top degree.
+    E, P = matrix_E(self, dual).  delta_residual, the relative coderivative
+    of the representatives, is None on flat metrics and at degree 0, where
+    every stencil difference of the constant seeds is exactly 0.
     """
 
     degree: int
@@ -52,7 +52,6 @@ class CohomologyBasis:
     gammas: list
     cycles: list  # axis tuple of each coordinate cycle, one per gamma
     normalization_residual: float
-    d_residual: float | None
     delta_residual: float | None
     E: np.ndarray = field(init=False, repr=False, compare=False)
     P: np.ndarray = field(init=False, repr=False, compare=False)
@@ -104,35 +103,31 @@ def _harmonic_basis(grid, p):
 
     Seeds are the constant coordinate forms dx^I / prod(periods), whose
     cycle integrals are the identity.  On curved metrics each seed of
-    degree >= 1 is harmonically projected (seed -> seed - d(G(delta seed)))
-    at most three times, until its coderivative is below 1e-12 relative;
-    d(G(...)) is exact and adds no cycle integral.  The coefficients read
-    off a dual basis are off by about that residual times the coexact part
-    of the form, hence the tight bound.
+    degree 1 <= p < n is harmonically projected once,
+    seed -> seed - d(G(delta seed)) with the direct Green solve at
+    tolerance 1e-11; d(G(...)) is exact and adds no cycle integral.  The
+    top-degree seed is replaced by grid.unit_form(), whose star is a
+    constant and whose integral is 1.  The coderivative of each projected
+    form is measured: the coefficients read off a dual basis are off by
+    about that residual times the coexact part of the form.
     """
     cycles = grid.components_of_degree(p)
-    project = p >= 1 and not grid.is_flat
-    gammas, d_res, delta_res = [], [], []
+    curved = p >= 1 and not grid.is_flat
+    gammas, delta_res = [], []
     for z in cycles:
         scale = 1.0 / math.prod(grid.spec.periods[a] for a in z)
         gamma = grid.constant_form(p, {z: scale})
-        if project:
-            rough = calculus.delta(gamma)
-            for _ in range(3):
-                if rough.norm_inf() <= 1e-12 * max(gamma.norm_inf(), 1e-300):
-                    break
-                alpha, _ = calculus.green_solve(rough, tol=1e-11)
+        if curved:
+            if p == grid.dim:
+                gamma = grid.unit_form()
+            else:
+                alpha, _ = calculus.green_solve(calculus.delta(gamma), tol=1e-11)
                 gamma = gamma - calculus.d(alpha)
-                rough = calculus.delta(gamma)
-            size = max(gamma.norm_inf(), 1e-300)
-            delta_res.append(rough.norm_inf() / size)
-            if p < grid.dim:
-                d_res.append(calculus.d(gamma).norm_inf() / size)
+            delta_res.append(calculus.delta(gamma).norm_inf() / max(gamma.norm_inf(), 1e-300))
         gammas.append(gamma)
     cycle_matrix = np.array([[integrate_cycle_mean(g, z) for z in cycles] for g in gammas])
     norm_res = float(np.max(np.abs(cycle_matrix - np.eye(len(cycles)))))
-    closure = (max(d_res, default=None), max(delta_res, default=None))
-    return CohomologyBasis(p, len(cycles), gammas, cycles, norm_res, *closure)
+    return CohomologyBasis(p, len(cycles), gammas, cycles, norm_res, max(delta_res, default=None))
 
 
 def matrix_E(basis_p, basis_q):

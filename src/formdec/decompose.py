@@ -3,8 +3,9 @@ integrals, the cross relations between them, the compact even-dimension
 block form, and the quantized norm budget.
 
 On flat grids the potentials come from one real-FFT projection of the form
-(calculus.flat_potentials), on curved ones from two Green solves; the exact
-and coexact terms are always the stencil d and delta of the potentials.
+(calculus.flat_potentials), on curved ones from two direct Green solves;
+the exact and coexact terms are always the stencil d and delta of the
+potentials.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ def hodge_decompose(phi, basis):
     alpha = G(delta phi) at degree p-1 and beta = G(d phi) at degree p+1,
     with G the minimum-norm Green operator.  On flat grids both come from
     one real-FFT projection of phi (calculus.flat_potentials); on curved
-    ones from green_solve (tolerance 1e-10).  u holds the harmonic
+    ones from green_solve (tolerance 1e-10), which solves the 0-form
+    delta phi and the top form d phi of a 1-form phi on the embedded torus
+    (other curved degrees raise NotImplementedError).  u holds the harmonic
     coefficients of phi, basis.coefficients(phi).  The exact and coexact
     terms are d(alpha) and delta(beta) on the stencils, so on flat grids
     the residue phi - d(alpha) - delta(beta) - sum u_a gamma_a is the part

@@ -1,8 +1,14 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from formdec import GridSpec, build_grid
 from formdec import calculus, fields
@@ -17,6 +23,9 @@ from formdec.calculus import (
     sign_D,
     star,
 )
+
+from test_decompose import embedded_grids_12
+from test_stencil_properties import FAST, random_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,6 +250,47 @@ def test_green_curved_round_trip(t2_embedded):
     diff = theta.components[()] - scalar.components[()]
     assert float(np.max(np.abs(diff - diff.mean()))) < 1e-7
     assert rep.relative_residual <= 1e-9
+
+
+def test_green_curved_minimum_norm(t2_embedded):
+    # theta is orthogonal to the constants under the metric pairing
+    rng = np.random.default_rng(4)
+    theta, _ = green_solve(delta(fields.random_trig_form(t2_embedded, 1, rng)))
+    one = t2_embedded.constant_form(0, {(): 1.0})
+    assert abs(pairing(theta, one)) <= 1e-12 * theta.norm_inf()
+
+
+@FAST
+@given(grid=embedded_grids_12(), seed=st.integers(0, 2**32 - 1))
+def test_green_curved_solves_d_and_delta(grid, seed):
+    phi = random_form(grid, 1, seed)
+    for src in (delta(phi), d(phi)):
+        theta, rep = green_solve(src, tol=1e-11)
+        assert rep.relative_residual <= 1e-11
+        assert rep.deflated_dims == 4
+        assert theta.degree == src.degree
+    with pytest.raises(NotImplementedError, match="degrees 0 and 2"):
+        green_solve(phi)
+
+
+def test_curved_decompose_does_not_import_scipy():
+    script = """
+import math, sys
+import numpy as np
+from formdec import GridSpec, build_grid, cohomology, decompose, fields
+grid = build_grid(GridSpec(2, (32, 32), (2 * math.pi,) * 2, (1, 1), "embedded-torus", 2.0, 1.0))
+basis = cohomology.build_basis(grid, 1)
+decompose.hodge_decompose(fields.random_trig_form(grid, 1, np.random.default_rng(0)), basis)
+print("scipy" in sys.modules)
+"""
+    src_dir = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_green_curved_indefinite_rejected():

@@ -255,7 +255,7 @@ def test_tol_flag_is_gone(capsys):
 # checks that read 0 by construction on a flat metric are reported on curved ones only
 CURVED_ONLY = {
     "core": {"star_star_degree_0", "star_star_degree_1", "star_star_degree_2", "pairing_symmetry"},
-    "cohomology": {"d_closure", "delta_closure"},
+    "cohomology": {"delta_closure"},
 }
 
 
