@@ -51,8 +51,9 @@ class GreenSolveError(NumericFailure):
 
 @dataclass
 class SolveReport:
-    """Direct solves applied (2 on curved grids, one of them a refinement), the
-    relative residual against the stencil Laplacian, and the deflated modes."""
+    """Direct solves applied (2 on curved grids, one of them a refinement; 0
+    on a zero source), the relative residual against the stencil Laplacian,
+    and the deflated modes."""
 
     iterations: int
     relative_residual: float
@@ -187,21 +188,6 @@ def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
 # ---------------------------------------------------------------------------
 
 
-def laplacian_symbol(grid):
-    """Fourier symbol of the flat-metric Laplacian, in fftn layout.
-
-    The stencil partial along axis a has symbol i sigma_a (_axis_symbols).
-    The stencils commute, so on a flat diagonal metric the Laplacian acts on
-    every component of every degree as -sum_a s_a partial_a^2, with symbol
-    sum_a s_a sigma_a^2.  Only the shape, steps and signature of the grid
-    enter.
-    """
-    cache = grid._symbol_cache
-    if "laplacian" not in cache:
-        cache["laplacian"] = _symbol_sum(grid, _axis_symbols(grid))
-    return cache["laplacian"]
-
-
 def _axis_symbols(grid):
     """Per-axis sigma_a = 2 sum_j c_j sin(j k_a h_a) / h_a, in fftfreq order.
 
@@ -321,13 +307,17 @@ def flat_potentials(phi):
     return alpha, beta
 
 
-def _green_solve_flat(source):
+def _green_solve_flat(source, zero):
     grid = source.grid
     _, mask, green, deflated = _rfft_symbols(grid)
+    deflated *= len(source.values)
+    if zero:
+        zeros = grid.zeros(source.degree)
+        return zeros, zeros, SolveReport(0, 0.0, deflated)
     spectra = _rfftn(source.values, grid)
     proj = DiscreteForm(grid, source.degree, _irfftn(np.where(mask, 0.0, spectra), grid))
     theta = _green_form(grid, source.degree, spectra, green)
-    return theta, proj, SolveReport(1, 0.0, deflated * len(source.values))
+    return theta, proj, SolveReport(1, 0.0, deflated)
 
 
 def _l2(form):
@@ -364,7 +354,7 @@ def _curved_symbols(grid):
     return cache["curved"]
 
 
-def _green_solve_curved(source):
+def _green_solve_curved(source, zero):
     """G of a 0-form by fast diagonalization, refined once; top forms as star G star.
 
     On T^2, star laplacian = laplacian star on 2-forms.  The source is
@@ -376,13 +366,16 @@ def _green_solve_curved(source):
     if grid.neg_count != 0:
         raise NotImplementedError("curved metrics are supported only for s = 0")
     if source.degree == grid.dim:
-        theta, proj, report = _green_solve_curved(star(source))
+        theta, proj, report = _green_solve_curved(star(source), zero)
         return star(theta), star(proj), report
     if source.degree != 0:
         raise NotImplementedError(
             f"curved Green solve supports degrees 0 and {grid.dim}, got {source.degree}"
         )
     V, green, deflated = _curved_symbols(grid)
+    if zero:
+        zeros = grid.zeros(0)
+        return zeros, zeros, SolveReport(0, 0.0, deflated)
     sqrt_g = grid.sqrt_abs_g
     weight = float(np.sum(grid._full(sqrt_g)))
 
@@ -408,13 +401,14 @@ def green_solve(source, tol=1e-10):
     Flat grids divide by the Laplacian symbol; curved ones solve degrees 0
     and n by fast diagonalization (_green_solve_curved) and raise
     NotImplementedError for any other degree.  A relative residual above
-    tol raises GreenSolveError.  Returns (theta, SolveReport).
+    tol raises GreenSolveError.  An exactly zero source returns zeros and
+    runs no solve.  Returns (theta, SolveReport).
     """
     solve = _green_solve_flat if source.grid.is_flat else _green_solve_curved
-    theta, proj, report = solve(source)
     src_norm = _l2(source)
+    theta, proj, report = solve(source, src_norm == 0.0)
     if src_norm == 0.0:
-        return theta, SolveReport(0, 0.0, report.deflated_dims)
+        return theta, report
     report.relative_residual = res = _l2(laplacian(theta) - proj) / src_norm
     if res > tol:
         raise GreenSolveError(f"Green solve residual {res:.3e} > {tol:.3e}", res, tol)

@@ -14,6 +14,7 @@ from formdec import GridSpec, build_grid
 from formdec import calculus, fields
 from formdec.calculus import (
     GreenSolveError,
+    SolveReport,
     d,
     delta,
     green_solve,
@@ -25,7 +26,7 @@ from formdec.calculus import (
 )
 
 from test_decompose import embedded_grids_12
-from test_stencil_properties import FAST, random_form
+from test_stencil_properties import FAST, count_calls, random_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,7 +200,7 @@ def test_closed_form_symbol_matches_delta_probe(points, periods):
     dim = len(points)
     for signature in itertools.product((1, -1), repeat=dim):
         grid = build_grid(GridSpec(dim, points, periods, signature))
-        sym = calculus.laplacian_symbol(grid)
+        sym = calculus._symbol_sum(grid, calculus._axis_symbols(grid))
         for p in range(dim + 1):
             for I in grid.components_of_degree(p):
                 ref = _probe_symbol(grid, I)
@@ -224,6 +225,22 @@ def test_green_pure_kernel_source(t2_flat):
     theta, rep = green_solve(g1)
     assert theta.norm_inf() < 1e-14
     assert rep.deflated_dims >= 1
+
+
+@pytest.mark.parametrize("fixture,degrees", [("t2_flat", (0, 1, 2)), ("t2_embedded", (0, 2))])
+def test_green_zero_source_runs_no_solve(request, monkeypatch, fixture, degrees):
+    grid = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    for p in degrees:
+        # a nonzero source of the same degree gives the deflated count
+        ref = green_solve(laplacian(fields.random_trig_form(grid, p, rng)))[1]
+        with monkeypatch.context() as m:
+            calls = count_calls(m, calculus, ("laplacian",))
+            ffts = count_calls(m, np.fft, ("rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn"))
+            theta, rep = green_solve(grid.zeros(p))
+        assert calls == {} and ffts == {}
+        assert rep == SolveReport(0, 0.0, ref.deflated_dims)
+        assert theta.degree == p and not theta.values.any()
 
 
 def test_green_minkowski_off_lightcone(t4_mink):

@@ -5,7 +5,7 @@ import pytest
 
 from formdec import calculus, cli, cohomology
 
-from test_cohomology import count_calls
+from test_stencil_properties import count_calls
 
 
 def run(capsys, argv):

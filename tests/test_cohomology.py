@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from formdec.cohomology import (
 )
 
 from test_decompose import embedded_grids_12, every_degree_basis
-from test_stencil_properties import FAST, flat_grids
+from test_stencil_properties import FAST, count_calls, flat_grids
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,22 +190,6 @@ def test_cycle_integrals_are_identity_flat(grid):
 @given(grid=embedded_grids_12())
 def test_cycle_integrals_are_identity_embedded(grid):
     check_cycle_identity(grid)
-
-
-def count_calls(monkeypatch, module, names):
-    """Replace module.<name> for each name by a wrapper that counts its calls."""
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    return calls
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -16,32 +16,17 @@ from formdec import GridSpec, build_grid, calculus, cohomology, fields
 from formdec.decompose import hodge_decompose
 from formdec.mesh import DiscreteForm
 
-from test_cohomology import count_calls
 from test_decompose import every_degree_basis
-from test_stencil_properties import FAST, flat_grids, random_form
+from test_stencil_properties import (
+    FAST,
+    count_calls,
+    deflation_mask,
+    flat_grids,
+    light_cone_condition,
+    random_form,
+)
 
 TWO_PI = 2.0 * math.pi
-
-
-def deflation_mask(grid):
-    """Modes the Green operator deflates, in fftn layout."""
-    sym = calculus.laplacian_symbol(grid)
-    return np.abs(sym) <= calculus.DEFLATION_TOL * float(np.max(np.abs(sym)))
-
-
-def light_cone_condition(grid):
-    """max over the kept modes of sum_a sigma_a^2 / |sum_a s_a sigma_a^2|.
-
-    1 on definite signatures.  It grows as kept modes near the discrete
-    light cone, and the exact and coexact parts then grow by this factor
-    over phi and cancel in the sum, so the rounding of the decomposition
-    does too.
-    """
-    spec = grid.spec
-    riemannian = build_grid(GridSpec(spec.dim, spec.points, spec.periods, (1,) * spec.dim))
-    kept = ~deflation_mask(grid)
-    sym = calculus.laplacian_symbol(grid)
-    return float(np.max(calculus.laplacian_symbol(riemannian)[kept] / np.abs(sym[kept])))
 
 
 def off_kernel_form(grid, p, seed):

@@ -6,6 +6,7 @@ evaluated on full grid-shaped metric arrays.  Every comparison is exact.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -58,6 +59,48 @@ def sample(shape, seed):
 def random_form(grid, p, seed):
     count = len(grid.components_of_degree(p))
     return DiscreteForm(grid, p, np.stack([sample(grid.shape, seed + k) for k in range(count)]))
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace module.<name> for each name by a wrapper that counts its calls."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def laplacian_symbol(grid):
+    """sum_a s_a sigma_a^2, the flat Laplacian symbol, in fftn layout."""
+    return calculus._symbol_sum(grid, calculus._axis_symbols(grid))
+
+
+def deflation_mask(grid):
+    """Modes the Green operator deflates, in fftn layout."""
+    sym = laplacian_symbol(grid)
+    return np.abs(sym) <= calculus.DEFLATION_TOL * float(np.max(np.abs(sym)))
+
+
+def light_cone_condition(grid):
+    """max over the kept modes of sum_a sigma_a^2 / |sum_a s_a sigma_a^2|.
+
+    1 on definite signatures.  It grows as kept modes near the discrete
+    light cone, and the exact and coexact parts then grow by this factor
+    over phi and cancel in the sum, so the rounding of the decomposition
+    does too.
+    """
+    spec = grid.spec
+    riemannian = build_grid(GridSpec(spec.dim, spec.points, spec.periods, (1,) * spec.dim))
+    kept = ~deflation_mask(grid)
+    sym = laplacian_symbol(grid)
+    return float(np.max(laplacian_symbol(riemannian)[kept] / np.abs(sym[kept])))
 
 
 @st.composite
