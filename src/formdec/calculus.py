@@ -1,22 +1,22 @@
 """Signature-aware Hodge star, exterior derivative, coderivative,
 Laplace-Beltrami operator, bilinear pairing, and a minimum-norm Green solver.
 
-Derivatives use periodic eighth-order central-difference stencils.
-On flat metrics each stencil partial is circulant with Fourier symbol
-i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a h_a)/h_a (coefficients c_j after
-Fornberg, Math. Comp. 51, 1988; symbol as in Trefethen, Spectral Methods in
-MATLAB, 2000, ch. 3), cached per axis on the grid.  The Laplacian is then a
-convolution with the symbol sum_a s_a sigma_a^2, the same for every degree
-and component.  The flat Green solve divides by that symbol exactly;
-near-null modes (constants, and light-cone modes in indefinite signature)
-are deflated and the minimum-norm solution returned.  flat_potentials gives
-the Hodge potentials G(delta phi) and G(d phi) as one real-FFT projection,
-with d and star applied to the spectra by the same bookkeeping as the
-stencil operators.  The curved metric (the embedded torus) depends on v
-alone, so its 0-form Green solve is direct: a real FFT along u and one
-cached eigendecomposition along v diagonalize the stencil Laplacian (fast
-diagonalization), refined once against the stencil; top forms are solved
-through star.
+star, d and delta = +-star d star are each written once (_star, _d,
+_delta), on the stacked components of a form, and run alike on grid values
+and on their real-FFT spectra.  Derivatives use periodic eighth-order
+central-difference stencils.  On flat metrics each stencil partial is
+circulant with Fourier symbol i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a
+h_a)/h_a (coefficients c_j after Fornberg, Math. Comp. 51, 1988; symbol as
+in Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), cached per axis on
+the grid.  The Laplacian is then a convolution with the symbol sum_a s_a
+sigma_a^2, the same for every degree and component.  flat_potentials gives
+the Hodge potentials G(delta phi) and G(d phi) as one real-FFT projection.
+The curved metric (the embedded torus) depends on v alone, so its 0-form
+Green solve is direct: a real FFT along u and one cached eigendecomposition
+along v diagonalize the stencil Laplacian (fast diagonalization), refined
+once against the stencil; top forms are solved through star.  Both Green
+operators divide by their symbol with one deflation rule (_masked_inverse)
+for its near-null modes and return the minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -108,30 +108,9 @@ def _axis_slice(arr, axis, start, stop):
 
 def d(f: DiscreteForm) -> DiscreteForm:
     """Exterior derivative via antisymmetrized partial-derivative stencils."""
-    grid = f.grid
-    if f.degree >= grid.dim:
+    if f.degree >= f.grid.dim:
         raise ValueError("cannot take d of a top-degree form")
-    out = grid.zeros(f.degree + 1)
-    _add_d(out.components, f.components, grid.dim, lambda comp, a: partial(comp, a, grid))
-    return out
-
-
-def _add_d(out, components, n, deriv):
-    """Add the terms of d to the components `out`, keyed like a (p+1)-form.
-
-    deriv(f_I, a) stands for the partial of component I along axis a; the
-    term goes to K = sorted(I + (a,)) with the sign of merging a into I.
-    Shared by the stencil d and the Fourier-space one of flat_potentials.
-    """
-    for I, comp in components.items():
-        for a in range(n):
-            if a in I:
-                continue
-            K = tuple(sorted(I + (a,)))
-            if merge_sign((a,), I) > 0:
-                out[K] += deriv(comp, a)
-            else:
-                out[K] -= deriv(comp, a)
+    return DiscreteForm(f.grid, f.degree + 1, _d(f.values, f.degree, f.grid, partial))
 
 
 def star(f: DiscreteForm) -> DiscreteForm:
@@ -140,31 +119,66 @@ def star(f: DiscreteForm) -> DiscreteForm:
     Component I goes to the complementary tuple with coefficient
     sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}(signature_i / g_ii).
     """
-    grid = f.grid
-    out = DiscreteForm(grid, grid.dim - f.degree, np.empty_like(f.values))
-    for I, Ic, coeff in _star_terms(grid, f.degree):
-        np.multiply(coeff, f.components[I], out=out.components[Ic])
-    return out
-
-
-def _star_terms(grid, p):
-    """(I, Ic, coefficient) of star on each degree-p component."""
-    n = grid.dim
-    for I in grid.components_of_degree(p):
-        Ic = tuple(a for a in range(n) if a not in I)
-        coeff = merge_sign(I, Ic) * grid.sqrt_abs_g
-        for i in I:
-            coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
-        yield I, Ic, coeff
+    return DiscreteForm(f.grid, f.grid.dim - f.degree, _star(f.values, f.degree, f.grid))
 
 
 def delta(f: DiscreteForm) -> DiscreteForm:
     """Coderivative (-1)^{C(p)} star d star."""
-    grid = f.grid
     if f.degree == 0:
         raise ValueError("coderivative of a 0-form is undefined")
-    sgn = -1.0 if sign_C(f.degree, grid.dim, grid.neg_count) else 1.0
-    return star(d(star(f))) * sgn
+    return DiscreteForm(f.grid, f.degree - 1, _delta(f.values, f.degree, f.grid, partial))
+
+
+def _d(values, p, grid, deriv):
+    """d of the stacked components of a p-form, or of their spectra, as a new stack.
+
+    deriv(f_I, a, grid) stands for the partial of component I along axis a:
+    `partial` on grid values, a multiply by i sigma_a on spectra.  The term
+    goes to K = sorted(I + (a,)) with the sign of merging a into I.
+    """
+    out = np.zeros((math.comb(grid.dim, p + 1),) + values.shape[1:], values.dtype)
+    rows = dict(zip(grid.components_of_degree(p + 1), out))
+    for I, comp in zip(grid.components_of_degree(p), values):
+        for a in range(grid.dim):
+            if a in I:
+                continue
+            K = tuple(sorted(I + (a,)))
+            if merge_sign((a,), I) > 0:
+                rows[K] += deriv(comp, a, grid)
+            else:
+                rows[K] -= deriv(comp, a, grid)
+    return out
+
+
+def _star(values, p, grid, scale=1.0, out=None):
+    """scale * star of the stacked components of a p-form, or of their spectra.
+
+    One multiply by the stacked coefficients of star, written to `out` (a
+    new array when None; `values` itself to work in place) and returned
+    reversed along the component axis: the complements of the sorted
+    degree-p tuples are the sorted degree-(n-p) tuples in reverse order.
+    """
+    coeffs = []
+    for I in grid.components_of_degree(p):
+        Ic = tuple(a for a in range(grid.dim) if a not in I)
+        coeff = merge_sign(I, Ic) * grid.sqrt_abs_g
+        for i in I:
+            coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
+        coeffs.append(coeff)
+    out = np.empty(values.shape, values.dtype)[::-1] if out is None else out
+    np.multiply(values, np.stack(coeffs) * scale, out=out)
+    return out[::-1]
+
+
+def _delta(values, p, grid, deriv, out=None):
+    """(-1)^{C(p)} star d star of stacked components or spectra, as _d and _star.
+
+    The first star writes to `out`; the last one carries the sign and runs
+    in place on the new output of d."""
+    n = grid.dim
+    sgn = -1.0 if sign_C(p, n, grid.neg_count) else 1.0
+    dstar = _d(_star(values, p, grid, out=out), n - p, grid, deriv)
+    return _star(dstar, n - p + 1, grid, sgn, out=dstar)
 
 
 def laplacian(f: DiscreteForm) -> DiscreteForm:
@@ -219,15 +233,26 @@ def _axis_shape(n, axis, size):
     return shape
 
 
+def _masked_inverse(sym, half_axis):
+    """(deflation mask, masked inverse, deflated count) of a symbol in rfft layout.
+
+    Modes with |sym| <= DEFLATION_TOL max|sym| are deflated (inverse 0).
+    The mask is symmetric under k -> -k, so each interior plane of the
+    rfft-halved axis `half_axis` stands for two modes in the count.
+    """
+    mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
+    green = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, sym))
+    deflated = 2 * int(mask.sum()) - int(np.take(mask, [0, -1], axis=half_axis).sum())
+    return mask, green, deflated
+
+
 def _rfft_symbols(grid):
     """The flat symbols in rfftn layout, cached on the grid.
 
-    Returns (i sigma_a per axis, broadcastable; the deflation mask; the
-    masked inverse G of the Laplacian symbol; the number of deflated modes
-    of one component).  The last axis keeps the first N//2 + 1 entries of
-    its sigma; the mask is the one of the full fftn layout, which is
-    symmetric under k -> -k, so each interior plane of the last axis stands
-    for two modes in the count.
+    Returns i sigma_a per axis, broadcastable, then _masked_inverse of the
+    Laplacian symbol: the deflation mask, the masked inverse G and the
+    number of deflated modes of one component.  The last axis keeps the
+    first N//2 + 1 entries of its sigma.
     """
     cache = grid._symbol_cache
     if "rfft" not in cache:
@@ -236,11 +261,7 @@ def _rfft_symbols(grid):
         isig = [
             1j * sig.reshape(_axis_shape(grid.dim, a, len(sig))) for a, sig in enumerate(sigmas)
         ]
-        sym = _symbol_sum(grid, sigmas)
-        mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
-        green = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, sym))
-        deflated = 2 * int(mask.sum()) - int(mask[..., 0].sum()) - int(mask[..., -1].sum())
-        cache["rfft"] = (isig, mask, green, deflated)
+        cache["rfft"] = (isig,) + _masked_inverse(_symbol_sum(grid, sigmas), -1)
     return cache["rfft"]
 
 
@@ -266,44 +287,26 @@ def flat_potentials(phi):
 
     G is the minimum-norm Green operator of green_solve.  On a flat metric
     the stencils are circulant, so this is symbol algebra on the real FFT
-    of phi: the spectra go through the index and sign bookkeeping of d and
-    star (_add_d, _star_terms) with each stencil partial replaced by its
-    symbol i sigma_a, and G multiplies by the masked inverse of the
-    Laplacian symbol.  One rfftn of the stacked components of phi, one
-    irfftn each of the stacked components of alpha and beta.  alpha is None
-    when p = 0 and beta when p = n.
+    of phi: the spectra go through _d and _delta with each stencil partial
+    replaced by its symbol i sigma_a, and G multiplies by the masked
+    inverse of the Laplacian symbol.  One rfftn of the stacked components
+    of phi, one irfftn each of the stacked components of alpha and beta.
+    alpha is None when p = 0 and beta when p = n.
     """
     grid, p = phi.grid, phi.degree
-    n = grid.dim
     isig, _, green, _ = _rfft_symbols(grid)
     term = np.empty(green.shape, complex)
 
-    def keyed(spectra, q):
-        return dict(zip(grid.components_of_degree(q), spectra))
-
-    def isig_times(comp, a):
+    def isig_times(comp, a, _):
         return np.multiply(isig[a], comp, out=term)
 
-    def d_hat(spectra, q):
-        out = np.zeros((math.comb(n, q + 1),) + green.shape, complex)
-        _add_d(keyed(out, q + 1), keyed(spectra, q), n, isig_times)
-        return out
-
-    def star_hat(spectra, q, scale=1.0):
-        # in place: no spectrum is used again once starred; the complements of
-        # the sorted degree-q tuples are the sorted degree-(n-q) ones reversed
-        for spec, (_, _, coeff) in zip(spectra, _star_terms(grid, q)):
-            np.multiply(spec, coeff * scale, out=spec)
-        return spectra[::-1]
-
     phat = _rfftn(phi.values, grid)
-    beta_hat = d_hat(phat, p) if p < n else None
-    if p > 0:
-        sgn = -1.0 if sign_C(p, n, grid.neg_count) else 1.0
-        alpha_hat = star_hat(d_hat(star_hat(phat, p), n - p), n - p + 1, sgn)
+    beta_hat = _d(phat, p, grid, isig_times) if p < grid.dim else None
+    # the first star of delta runs in place: phat is not used again
+    alpha_hat = _delta(phat, p, grid, isig_times, out=phat) if p > 0 else None
     del phat
     alpha = _green_form(grid, p - 1, alpha_hat, green) if p > 0 else None
-    beta = _green_form(grid, p + 1, beta_hat, green) if p < n else None
+    beta = _green_form(grid, p + 1, beta_hat, green) if p < grid.dim else None
     return alpha, beta
 
 
@@ -333,7 +336,7 @@ def _curved_symbols(grid):
     eigh of A^-1/2 K A^-1/2 gives V with V^t A V = I, V^t K V = diag(lambda)
     for every mode at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     Returns (V, the masked inverse of sigma_k^2 + lambda_j in rfft-along-u
-    layout, the deflated count), masked and counted as in _rfft_symbols.
+    layout, the deflated count), from _masked_inverse.
     """
     cache = grid._symbol_cache
     if "curved" not in cache:
@@ -346,10 +349,7 @@ def _curved_symbols(grid):
         lam, W = np.linalg.eigh(a_isqrt[:, None] * K * a_isqrt)
         V = a_isqrt[:, None] * W
         sigma_u = _axis_symbols(grid)[0][: grid.shape[0] // 2 + 1]
-        sym = (sigma_u * sigma_u)[:, None] + lam
-        mask = np.abs(sym) <= DEFLATION_TOL * float(np.max(np.abs(sym)))
-        green = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, sym))
-        deflated = 2 * int(mask.sum()) - int(mask[0].sum()) - int(mask[-1].sum())
+        _, green, deflated = _masked_inverse((sigma_u * sigma_u)[:, None] + lam, 0)
         cache["curved"] = (V, green, deflated)
     return cache["curved"]
 

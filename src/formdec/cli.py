@@ -147,10 +147,10 @@ def _verify_core(args, report):
     a, b = form(1), form(1)
     if not grid.is_flat:
         report.check("pairing_symmetry", abs(calculus.pairing(a, b) - calculus.pairing(b, a)), 1e-10)
-    f0 = form(0)
-    report.check("dd_zero", rel(calculus.d(calculus.d(f0)), f0), 1e-10)
-    ftop = form(grid.dim)
-    report.check("delta_delta_zero", rel(calculus.delta(calculus.delta(ftop)), ftop), 1e-10)
+    f0, ftop = form(0), form(grid.dim)
+    if grid.dim >= 2:  # on a circle d d and delta delta are undefined
+        report.check("dd_zero", rel(calculus.d(calculus.d(f0)), f0), 1e-10)
+        report.check("delta_delta_zero", rel(calculus.delta(calculus.delta(ftop)), ftop), 1e-10)
     c0, a1 = form(0), form(1)
     adj = abs(calculus.pairing(calculus.d(c0), a1) - calculus.pairing(c0, calculus.delta(a1)))
     report.check("adjointness", adj, 1e-8)
@@ -347,11 +347,14 @@ def cmd_em(args, report):
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _positive_float(text):
@@ -395,13 +398,16 @@ def build_parser():
         "--m-parity",
         dest="m_parity",
         type=int,
+        choices=[0, 1],
         default=None,
         help="parity of m; defaults to that of --group, else 0",
     )
-    p.add_argument("--s", type=int, default=0)
+    p.add_argument(
+        "--s", type=_int_at_least(0), default=0, help="number of negative signature entries"
+    )
     p.add_argument("--group", choices=list(taxonomy.GROUPS), default=None)
     p.add_argument("--params", default=None, help="JSON dict of free parameters")
-    p.add_argument("--draws", type=_positive_int, default=100)
+    p.add_argument("--draws", type=_int_at_least(1), default=100)
     common(p, cmd_taxonomy)
 
     p = sub.add_parser("decompose", help="Hodge decomposition presets")

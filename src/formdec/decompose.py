@@ -131,21 +131,19 @@ def _max_abs(x):
     return float(np.max(np.abs(x)))
 
 
-def cross_relation_check(u, v, T, D_parity, T_dual=None):
+def cross_relation_check(u, v, T, D_parity, T_dual):
     """Residuals of the cycle-integral cross relations.
 
     forward:    u_a = (-1)^D sum_b tau^{(p)}_{ba} v_b
-    reciprocal: v_a = sum_b tau^{(n-p)}_{ba} u_b   (when T_dual given)
+    reciprocal: v_a = sum_b tau^{(n-p)}_{ba} u_b
     quadrature: w = i T^t w with w = u + i v      (middle degree, odd D)
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     T = np.asarray(T, dtype=float)
+    T_dual = np.asarray(T_dual, dtype=float)
     sgn = -1.0 if D_parity % 2 else 1.0
-    out = {"forward": _max_abs(u - sgn * (T.T @ v))}
-    if T_dual is not None:
-        T_dual = np.asarray(T_dual, dtype=float)
-        out["reciprocal"] = _max_abs(v - T_dual.T @ u)
+    out = {"forward": _max_abs(u - sgn * (T.T @ v)), "reciprocal": _max_abs(v - T_dual.T @ u)}
     if D_parity % 2:
         w = u + 1j * v
         out["quadrature"] = _max_abs(w - 1j * (T.T @ w))

@@ -63,10 +63,12 @@ class GridSpec:
             if N % 2 != 0:
                 raise ValueError(f"points per axis must be even, got {N}")
         for L in self.periods:
-            if L <= 0:
-                raise ValueError("periods must be strictly positive")
+            if not (math.isfinite(L) and L > 0):
+                raise ValueError(f"periods must be finite and strictly positive, got {L}")
         if any(s not in (-1, 1) for s in self.signature):
             raise ValueError("signature entries must be +1 or -1")
+        if not (math.isfinite(self.R) and math.isfinite(self.r)):
+            raise ValueError(f"R and r must be finite, got R={self.R}, r={self.r}")
         if self.metric not in KNOWN_METRICS:
             raise ValueError(f"unknown metric preset {self.metric!r}")
         if self.metric == "embedded-torus":
@@ -103,8 +105,11 @@ class PeriodicGrid:
         axes_1d = [np.arange(N) * h for N, h in zip(spec.points, self.steps)]
         self.coords = np.meshgrid(*axes_1d, indexing="ij", sparse=True)
         self.metric_diag = self._build_metric()
-        if np.any(self.metric_diag <= 0):
-            raise ValueError("degenerate metric: scale factors must stay positive")
+        if not np.all(np.isfinite(self.metric_diag) & (self.metric_diag > 0)):
+            raise ValueError(
+                f"degenerate metric: scale factors must stay positive and finite "
+                f"(R={spec.R}, r={spec.r})"
+            )
         self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
         self.metric_diag.flags.writeable = False
         self.sqrt_abs_g.flags.writeable = False
@@ -118,8 +123,9 @@ class PeriodicGrid:
         R, r = self.spec.R, self.spec.r
         v = np.arange(self.shape[1]) * self.steps[1]
         g = np.empty((2, 1, self.shape[1]))
-        g[0] = (R + r * np.cos(v)) ** 2
-        g[1] = r**2
+        with np.errstate(over="ignore"):  # an overflow is refused as degenerate
+            g[0] = (R + r * np.cos(v)) ** 2
+            g[1] = np.float64(r) ** 2
         return g
 
     @property

@@ -73,6 +73,13 @@ def _exactify(x):
     return float(x)
 
 
+def _required(params, group, key):
+    """params[key] through _exactify; a missing key is named with the group."""
+    if key not in params:
+        raise ValueError(f"group {group} needs the parameter {key!r}, got {sorted(params)}")
+    return _exactify(params[key])
+
+
 def solve_group(group, params, s=0):
     """Exact (E, T, Lambda) triple for one taxonomy group.
 
@@ -83,7 +90,8 @@ def solve_group(group, params, s=0):
       S2.2.1: E11, E22 != 0, sign1, sign2   (s even)
       S2.2.2: E11, E22 != 0, lam12, sign    (lam11, lam22 forced)
 
-    Raises InfeasibleGroupError naming the violated inequality.
+    Raises InfeasibleGroupError naming the violated inequality, and
+    ValueError naming a missing required parameter.
     """
     if group not in GROUPS:
         raise ValueError(
@@ -94,8 +102,8 @@ def solve_group(group, params, s=0):
     sgn_s = 1 if s == 0 else -1
 
     if group == "S2.1.1":
-        E12 = _exactify(params["E12"])
-        lam11 = _exactify(params["lam11"])
+        E12 = _required(params, group, "E12")
+        lam11 = _required(params, group, "lam11")
         if E12 == 0 or lam11 == 0:
             raise InfeasibleGroupError("S2.1.1 needs E12 != 0 and lam11 != 0")
         lam22 = sgn_s * E12 * E12 / lam11
@@ -108,7 +116,7 @@ def solve_group(group, params, s=0):
             raise InfeasibleGroupError(
                 "S2.1.2 infeasible for odd s: requires A^2 = (-1)^s >= 0"
             )
-        E12 = _exactify(params["E12"])
+        E12 = _required(params, group, "E12")
         sign = int(params.get("sign", 1))
         if E12 == 0 or sign not in (1, -1):
             raise InfeasibleGroupError("S2.1.2 needs E12 != 0 and sign = +-1")
@@ -119,8 +127,8 @@ def solve_group(group, params, s=0):
         T = np.array([[a, 0], [0, a]], dtype=float)
 
     elif group == "S2.1.3":
-        E12 = _exactify(params["E12"])
-        lam11 = _exactify(params["lam11"])
+        E12 = _required(params, group, "E12")
+        lam11 = _required(params, group, "lam11")
         lam12 = _exactify(params.get("lam12", 0))
         if E12 == 0 or lam11 == 0:
             raise InfeasibleGroupError("S2.1.3 needs E12 != 0 and lam11 != 0")
@@ -140,8 +148,8 @@ def solve_group(group, params, s=0):
             raise InfeasibleGroupError(
                 "S2.2.1 infeasible for odd s: requires even D(m), i.e. even s"
             )
-        E11 = _exactify(params["E11"])
-        E22 = _exactify(params["E22"])
+        E11 = _required(params, group, "E11")
+        E22 = _required(params, group, "E22")
         sign1 = int(params.get("sign1", 1))
         sign2 = int(params.get("sign2", 1))
         if E11 == 0 or E22 == 0:
@@ -153,8 +161,8 @@ def solve_group(group, params, s=0):
         T = np.array([[sign1, 0], [0, sign2]], dtype=float)
 
     else:  # S2.2.2
-        E11 = _exactify(params["E11"])
-        E22 = _exactify(params["E22"])
+        E11 = _required(params, group, "E11")
+        E22 = _required(params, group, "E22")
         lam12 = _exactify(params.get("lam12", 0))
         sign = int(params.get("sign", 1))
         if E11 == 0 or E22 == 0:

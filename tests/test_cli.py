@@ -237,6 +237,40 @@ def test_em_nonpositive_constants_are_usage_errors(capsys, argv, flag):
     assert f"error: argument {flag}:" in captured.err
 
 
+@pytest.mark.parametrize("argv,flag", [(["--s", "-1"], "--s"), (["--m-parity", "3"], "--m-parity")])
+def test_taxonomy_out_of_range_parities_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["taxonomy", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}:" in captured.err
+
+
+def test_taxonomy_missing_param_names_group_and_key(capsys):
+    code = cli.main(["taxonomy", "--group", "S2.1.3", "--params", '{"E12": 1}'])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "group S2.1.3 needs the parameter 'lam11'" in captured.err
+
+
+@pytest.mark.parametrize("R", ["inf", "nan", "1e300"])
+def test_non_finite_embedded_torus_is_a_usage_error(capsys, R):
+    code = cli.main(["torus2", "--mode", "embedded", "--grid", "8", "--R", R])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"R={float(R)}" in captured.err
+
+
+def test_verify_core_dim_1_reports_adjointness_only(capsys):
+    # d d and delta delta need a degree-2 form, which a circle does not have
+    code, doc = run(capsys, ["verify", "--suite", "core", "--dim", "1", "--grid", "16"])
+    assert code == 0
+    assert [c["name"] for c in doc["checks"]] == ["adjointness"]
+
+
 def test_taxonomy_params_must_be_an_object(capsys):
     code = cli.main(["taxonomy", "--group", "S2.1.1", "--params", "[1]"])
     captured = capsys.readouterr()

@@ -286,6 +286,18 @@ def test_coefficients_recover_harmonic_part_embedded(grid, seed):
     check_coefficients(grid, seed)
 
 
+@FAST
+@given(grid=st.one_of(flat_grids(), embedded_grids_12()), seed=st.integers(0, 2**32 - 1))
+def test_hodge_decompose_leaves_phi_unchanged(grid, seed):
+    # curved grids decompose 1-forms only
+    bases = every_degree_basis(grid) if grid.is_flat else [cohomology.build_basis(grid, 1)]
+    for basis in bases:
+        phi = random_form(grid, basis.degree, seed)
+        before = phi.values.tobytes()
+        hodge_decompose(phi, basis)
+        assert phi.values.tobytes() == before
+
+
 @pytest.fixture(scope="module")
 def embedded64():
     grid = embedded((64, 64), 2.0, 1.0)

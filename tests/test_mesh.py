@@ -43,6 +43,15 @@ def test_gridspec_validation():
         GridSpec(2, (64, 64), (TWO_PI, TWO_PI), (1, 2))  # bad signature
     with pytest.raises(ValueError):
         GridSpec(2, (64, 64), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=1.0, r=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(2, (8, 8), (bad, bad), (1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(2, (8, 8), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=bad, r=1.0)
+    # finite R and r whose metric factor overflows
+    spec = GridSpec(2, (8, 8), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=1e300, r=1e200)
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_grid(spec)
 
 
 def test_flat_metric_arrays():

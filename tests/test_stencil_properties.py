@@ -216,3 +216,58 @@ def test_stacked_ffts_match_per_component(grid, seed):
             assert same_bits(back[k], np.fft.irfftn(spectra[k], s=grid.shape, axes=axes_k))
             assert same_bits(full[k], np.fft.fftn(comp))
             assert same_bits(full_back[k], np.fft.ifftn(full[k]))
+
+
+def star_terms(grid, p):
+    """(I, Ic, coefficient) of star on each degree-p component, one at a time."""
+    n = grid.dim
+    for I in grid.components_of_degree(p):
+        Ic = tuple(a for a in range(n) if a not in I)
+        coeff = merge_sign(I, Ic) * grid.sqrt_abs_g
+        for i in I:
+            coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
+        yield I, Ic, coeff
+
+
+@FAST
+@given(grid=any_grids(), seed=st.integers(0, 2**32 - 1))
+def test_star_matches_per_component_terms(grid, seed):
+    # the stacked star is one multiply; each row must be the term of its own
+    # component, also for the reversed view of `values` that delta returns
+    for p in range(grid.dim + 1):
+        f = random_form(grid, p, seed)
+        reversed_view = DiscreteForm(grid, p, f.values[::-1].copy()[::-1])
+        for form in (f, reversed_view):
+            got = calculus.star(form)
+            for I, Ic, coeff in star_terms(grid, p):
+                assert identical(got.components[Ic], np.multiply(coeff, f.components[I]))
+
+
+@FAST
+@given(grid=any_grids(), seed=st.integers(0, 2**32 - 1))
+def test_delta_is_signed_star_d_star(grid, seed):
+    n = grid.dim
+    for p in range(1, n + 1):
+        f = random_form(grid, p, seed)
+        sgn = -1.0 if calculus.sign_C(p, n, grid.neg_count) else 1.0
+        ref = calculus.star(calculus.d(calculus.star(f))) * sgn
+        assert identical(calculus.delta(f).values, ref.values)
+
+
+@FAST
+@given(grid=any_grids(), seed=st.integers(0, 2**32 - 1))
+def test_operators_leave_their_input_unchanged(grid, seed):
+    # delta and flat_potentials run a star in place on their own buffers
+    n = grid.dim
+    for p in range(n + 1):
+        f = random_form(grid, p, seed)
+        before = f.values.tobytes()
+        ops = [calculus.star, calculus.laplacian]
+        ops += [calculus.d] if p < n else []
+        ops += [calculus.delta] if p > 0 else []
+        ops += [calculus.flat_potentials] if grid.is_flat else []
+        if grid.is_flat or p in (0, n):
+            ops.append(lambda f: calculus.green_solve(f, tol=math.inf))
+        for op in ops:
+            op(f)
+            assert f.values.tobytes() == before, op
