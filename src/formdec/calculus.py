@@ -310,17 +310,13 @@ def flat_potentials(phi):
     return alpha, beta
 
 
-def _green_solve_flat(source, zero):
+def _green_solve_flat(source):
     grid = source.grid
-    _, mask, green, deflated = _rfft_symbols(grid)
-    deflated *= len(source.values)
-    if zero:
-        zeros = grid.zeros(source.degree)
-        return zeros, zeros, SolveReport(0, 0.0, deflated)
+    _, mask, green, _ = _rfft_symbols(grid)
     spectra = _rfftn(source.values, grid)
     proj = DiscreteForm(grid, source.degree, _irfftn(np.where(mask, 0.0, spectra), grid))
     theta = _green_form(grid, source.degree, spectra, green)
-    return theta, proj, SolveReport(1, 0.0, deflated)
+    return theta, proj, 1
 
 
 def _l2(form):
@@ -354,7 +350,7 @@ def _curved_symbols(grid):
     return cache["curved"]
 
 
-def _green_solve_curved(source, zero):
+def _green_solve_curved(source):
     """G of a 0-form by fast diagonalization, refined once; top forms as star G star.
 
     On T^2, star laplacian = laplacian star on 2-forms.  The source is
@@ -363,19 +359,10 @@ def _green_solve_curved(source, zero):
     returned orthogonal to the constants under the pairing.
     """
     grid = source.grid
-    if grid.neg_count != 0:
-        raise NotImplementedError("curved metrics are supported only for s = 0")
     if source.degree == grid.dim:
-        theta, proj, report = _green_solve_curved(star(source), zero)
-        return star(theta), star(proj), report
-    if source.degree != 0:
-        raise NotImplementedError(
-            f"curved Green solve supports degrees 0 and {grid.dim}, got {source.degree}"
-        )
-    V, green, deflated = _curved_symbols(grid)
-    if zero:
-        zeros = grid.zeros(0)
-        return zeros, zeros, SolveReport(0, 0.0, deflated)
+        theta, proj, solves = _green_solve_curved(star(source))
+        return star(theta), star(proj), solves
+    V, green, _ = _curved_symbols(grid)
     sqrt_g = grid.sqrt_abs_g
     weight = float(np.sum(grid._full(sqrt_g)))
 
@@ -390,7 +377,7 @@ def _green_solve_curved(source, zero):
     theta = DiscreteForm(grid, 0, solve(proj.values)[None])
     theta.values += solve((proj - laplacian(theta)).values)
     theta = DiscreteForm(grid, 0, off_constants(theta.values))
-    return theta, proj, SolveReport(2, 0.0, deflated)
+    return theta, proj, 2
 
 
 def green_solve(source, tol=1e-10):
@@ -400,16 +387,28 @@ def green_solve(source, tol=1e-10):
     (constants and, in indefinite signature, discrete light-cone modes).
     Flat grids divide by the Laplacian symbol; curved ones solve degrees 0
     and n by fast diagonalization (_green_solve_curved) and raise
-    NotImplementedError for any other degree.  A relative residual above
-    tol raises GreenSolveError.  An exactly zero source returns zeros and
-    runs no solve.  Returns (theta, SolveReport).
+    NotImplementedError for an indefinite signature or any other degree.
+    A relative residual above tol raises GreenSolveError.  An exactly zero
+    source returns zeros and runs no solve.  Each solver returns theta, the
+    projected source and its solve count; the one SolveReport is built here.
+    Returns (theta, SolveReport).
     """
-    solve = _green_solve_flat if source.grid.is_flat else _green_solve_curved
+    grid, p = source.grid, source.degree
+    if grid.is_flat:
+        solve, deflated = _green_solve_flat, _rfft_symbols(grid)[3] * len(source.values)
+    else:
+        if grid.neg_count != 0:
+            raise NotImplementedError("curved metrics are supported only for s = 0")
+        if p not in (0, grid.dim):
+            raise NotImplementedError(
+                f"curved Green solve supports degrees 0 and {grid.dim}, got {p}"
+            )
+        solve, deflated = _green_solve_curved, _curved_symbols(grid)[2]
     src_norm = _l2(source)
-    theta, proj, report = solve(source, src_norm == 0.0)
     if src_norm == 0.0:
-        return theta, report
-    report.relative_residual = res = _l2(laplacian(theta) - proj) / src_norm
+        return grid.zeros(p), SolveReport(0, 0.0, deflated)
+    theta, proj, solves = solve(source)
+    res = _l2(laplacian(theta) - proj) / src_norm
     if res > tol:
         raise GreenSolveError(f"Green solve residual {res:.3e} > {tol:.3e}", res, tol)
-    return theta, report
+    return theta, SolveReport(solves, res, deflated)

@@ -245,33 +245,31 @@ def verify_pair(basis):
     """verify_triple on a basis and its dual.
 
     Reads E and P off the linked bases; T is built once at the middle
-    degree, where the dual is the basis itself.  Returns (matrices,
-    residuals).  The residuals are tt, et and, at the middle degree only,
-    lel from verify_triple.  E's transpose rule E^{(p)} = (-1)^{(n-p)p}
+    degree, where the dual is the basis itself.  Returns (matrices, the
+    CheckReport), the matrices named as verify_triple's arguments.  lel is
+    a middle-degree identity.  E's transpose rule E^{(p)} = (-1)^{(n-p)p}
     (E^{(n-p)})^t is not checked: every basis form has one nonzero
     component, so both sides sum the same products and it reads 0.
     """
     grid, dual = basis.grid, basis.dual
-    n, p = grid.dim, basis.degree
-    Dpar = calculus.sign_D(p, n, grid.neg_count)
-    T_dual = matrix_T(basis, dual)  # T^{(n-p)}
-    T_p = T_dual if dual is basis else matrix_T(dual, basis)  # T^{(p)}
+    Dpar = calculus.sign_D(basis.degree, grid.dim, grid.neg_count)
+    T = matrix_T(basis, dual)  # T^{(n-p)}
+    T_p = T if dual is basis else matrix_T(dual, basis)  # T^{(p)}
     Lam = matrix_Lambda(basis)
-    chk = verify_triple(basis.E, T_dual, Lam, Dpar, T_p)
-    residuals = {"tt": chk.tt_residual, "et": chk.et_residual}
-    if p * 2 == n:
-        residuals["lel"] = chk.lel_residual
-    matrices = dict(E=basis.E, E_dual=dual.E, T_dual=T_dual, T=T_p, Lambda=Lam, P=basis.P)
-    return matrices, residuals
+    chk = verify_triple(basis.E, T, Lam, Dpar, T_p)
+    matrices = dict(E=basis.E, E_dual=dual.E, T=T, T_p=T_p, Lambda=Lam, P=basis.P)
+    return matrices, chk
 
 
-def star_proportionality_residual(basis_p, basis_dual, E, P, Lam):
+def star_proportionality_residual(basis, Lam):
     """Orthogonal-basis corollary: star(gamma_a) = (lambda_a / eps_{a,P(a)}) gamma_{P(a)}.
 
-    Only meaningful when Lambda is diagonal within tolerance.
+    E, P and the dual basis are read off the basis.  Only meaningful when
+    Lambda is diagonal within tolerance.
     """
+    E, P, dual = basis.E, basis.P, basis.dual
     worst = 0.0
-    for a, g in enumerate(basis_p.gammas):
-        target = basis_dual.gammas[P[a]] * (Lam[a, a] / E[a, P[a]])
+    for a, g in enumerate(basis.gammas):
+        target = dual.gammas[P[a]] * (Lam[a, a] / E[a, P[a]])
         worst = max(worst, (calculus.star(g) - target).norm_inf())
     return worst

@@ -122,7 +122,7 @@ def decomposition_residuals(phi, dec, basis):
         if dec.beta.degree < phi.grid.dim:
             out["gauge_d_beta"] = calculus.d(dec.beta).norm_inf() / scale
         out["cycle_of_coexact"] = _max_abs(basis.coefficients(dec.coexact))
-    out["residue_norm"] = dec.residue.norm_inf() / scale
+    out["residue_norm"] = dec.reconstruction_error
     out["residue_cycles"] = _max_abs(basis.coefficients(dec.residue))
     return out
 

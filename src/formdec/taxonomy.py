@@ -15,25 +15,18 @@ import numpy as np
 
 from .cohomology import verify_triple
 
-GROUPS = ("S2.1.1", "S2.1.2", "S2.1.3", "S2.2.1", "S2.2.2")
-
-# expected det T per group as a function of s parity
-_DET_RULES = {
-    "S2.1.1": lambda s: -1.0 if s % 2 == 0 else 1.0,  # (-1)^{s+1}
-    "S2.1.2": lambda s: 1.0,
-    "S2.1.3": lambda s: 1.0 if s % 2 == 0 else -1.0,  # (-1)^{s}
-    "S2.2.1": lambda s: None,  # +-1, sign free
-    "S2.2.2": lambda s: -1.0 if s % 2 == 0 else 1.0,  # (-1)^{s+1}
+# Each group's rules: the parity of m, the admissible parities of s, and k
+# with det T = (-1)^(s+k), None where the sign of det T is free.  S2.1.2
+# admits even s only, so its det T = (-1)^s is always 1.
+_RULES = {
+    "S2.1.1": (0, (0, 1), 1),
+    "S2.1.2": (0, (0,), 0),
+    "S2.1.3": (1, (0, 1), 0),
+    "S2.2.1": (0, (0,), None),
+    "S2.2.2": (0, (0, 1), 1),
 }
-
-# required m parity per group (0 = even, 1 = odd)
-M_PARITY = {
-    "S2.1.1": 0,
-    "S2.1.2": 0,
-    "S2.1.3": 1,
-    "S2.2.1": 0,
-    "S2.2.2": 0,
-}
+GROUPS = tuple(_RULES)
+M_PARITY = {group: rule[0] for group, rule in _RULES.items()}
 
 
 class InfeasibleGroupError(ValueError):
@@ -52,11 +45,8 @@ class TaxonomySolution:
 
 def admissible_groups(m_parity, s_parity):
     """Groups allowed for the given parities of m and s."""
-    if m_parity % 2 == 1:
-        return ["S2.1.3"]
-    if s_parity % 2 == 1:
-        return ["S2.1.1", "S2.2.2"]
-    return ["S2.1.1", "S2.1.2", "S2.2.1", "S2.2.2"]
+    m_parity, s_parity = m_parity % 2, s_parity % 2
+    return [g for g, (m, s_pars, _) in _RULES.items() if m == m_parity and s_parity in s_pars]
 
 
 def reality_rule(beta, D_parity):
@@ -73,11 +63,28 @@ def _exactify(x):
     return float(x)
 
 
-def _required(params, group, key):
-    """params[key] through _exactify; a missing key is named with the group."""
-    if key not in params:
+def _param(params, group, key, default=None):
+    """params[key] through _exactify; refuses it missing (without default) or non-finite."""
+    if key not in params and default is None:
         raise ValueError(f"group {group} needs the parameter {key!r}, got {sorted(params)}")
-    return _exactify(params[key])
+    value = params.get(key, default)
+    try:
+        x = _exactify(value)
+        if math.isfinite(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"group {group} needs a finite number for {key!r}, got {value!r}")
+
+
+def _sign(params, group, key):
+    """params[key], 1 when it is missing; anything but +1 or -1 is refused."""
+    sign = params.get(key, 1)
+    if sign not in (1, -1):
+        raise InfeasibleGroupError(
+            f"group {group} needs the parameter {key!r} = +1 or -1, got {sign!r}"
+        )
+    return int(sign)
 
 
 def solve_group(group, params, s=0):
@@ -90,20 +97,27 @@ def solve_group(group, params, s=0):
       S2.2.1: E11, E22 != 0, sign1, sign2   (s even)
       S2.2.2: E11, E22 != 0, lam12, sign    (lam11, lam22 forced)
 
-    Raises InfeasibleGroupError naming the violated inequality, and
-    ValueError naming a missing required parameter.
+    Raises InfeasibleGroupError for an s parity the group does not admit,
+    a sign other than +-1 or a violated inequality, and ValueError naming a
+    missing or non-finite parameter.
     """
     if group not in GROUPS:
         raise ValueError(
             f"unknown group {group!r}: only the beta_m = 2 groups "
             f"{GROUPS} are classified (beta_m > 2 is not supported)"
         )
+    m_parity, s_parities, det_k = _RULES[group]
     s = int(s) % 2
+    if s not in s_parities:
+        raise InfeasibleGroupError(
+            f"{group} is infeasible for s parity {s}; the groups for m parity "
+            f"{m_parity} and s parity {s} are {admissible_groups(m_parity, s)}"
+        )
     sgn_s = 1 if s == 0 else -1
 
     if group == "S2.1.1":
-        E12 = _required(params, group, "E12")
-        lam11 = _required(params, group, "lam11")
+        E12 = _param(params, group, "E12")
+        lam11 = _param(params, group, "lam11")
         if E12 == 0 or lam11 == 0:
             raise InfeasibleGroupError("S2.1.1 needs E12 != 0 and lam11 != 0")
         lam22 = sgn_s * E12 * E12 / lam11
@@ -112,59 +126,42 @@ def solve_group(group, params, s=0):
         T = np.array([[0, lam11 / E12], [lam22 / E12, 0]], dtype=float)
 
     elif group == "S2.1.2":
-        if s % 2:
-            raise InfeasibleGroupError(
-                "S2.1.2 infeasible for odd s: requires A^2 = (-1)^s >= 0"
-            )
-        E12 = _required(params, group, "E12")
-        sign = int(params.get("sign", 1))
-        if E12 == 0 or sign not in (1, -1):
-            raise InfeasibleGroupError("S2.1.2 needs E12 != 0 and sign = +-1")
-        lam12 = sign * E12
+        E12 = _param(params, group, "E12")
+        lam12 = _sign(params, group, "sign") * E12
+        if E12 == 0:
+            raise InfeasibleGroupError("S2.1.2 needs E12 != 0")
         E = np.array([[0, E12], [E12, 0]], dtype=float)
         Lam = np.array([[0, lam12], [lam12, 0]], dtype=float)
         a = lam12 / E12
         T = np.array([[a, 0], [0, a]], dtype=float)
 
     elif group == "S2.1.3":
-        E12 = _required(params, group, "E12")
-        lam11 = _required(params, group, "lam11")
-        lam12 = _exactify(params.get("lam12", 0))
+        E12 = _param(params, group, "E12")
+        lam11 = _param(params, group, "lam11")
+        lam12 = _param(params, group, "lam12", 0)
         if E12 == 0 or lam11 == 0:
             raise InfeasibleGroupError("S2.1.3 needs E12 != 0 and lam11 != 0")
         # lam12^2 - lam11 lam22 = (-1)^{s+1} E12^2
         lam22 = (lam12 * lam12 + sgn_s * E12 * E12) / lam11
         E = np.array([[0, E12], [-E12, 0]], dtype=float)
         Lam = np.array([[lam11, lam12], [lam12, lam22]], dtype=float)
-        T = (
-            np.array(
-                [[-lam12, lam11], [-lam22, lam12]], dtype=float
-            )
-            / float(E12)
-        )
+        T = np.array([[-lam12, lam11], [-lam22, lam12]], dtype=float) / float(E12)
 
     elif group == "S2.2.1":
-        if s % 2:
-            raise InfeasibleGroupError(
-                "S2.2.1 infeasible for odd s: requires even D(m), i.e. even s"
-            )
-        E11 = _required(params, group, "E11")
-        E22 = _required(params, group, "E22")
-        sign1 = int(params.get("sign1", 1))
-        sign2 = int(params.get("sign2", 1))
+        E11 = _param(params, group, "E11")
+        E22 = _param(params, group, "E22")
+        sign1, sign2 = _sign(params, group, "sign1"), _sign(params, group, "sign2")
         if E11 == 0 or E22 == 0:
             raise InfeasibleGroupError("S2.2.1 needs E11 != 0 and E22 != 0")
-        if sign1 not in (1, -1) or sign2 not in (1, -1):
-            raise InfeasibleGroupError("S2.2.1 signs must be +-1")
         E = np.array([[E11, 0], [0, E22]], dtype=float)
         Lam = np.array([[sign1 * E11, 0], [0, sign2 * E22]], dtype=float)
         T = np.array([[sign1, 0], [0, sign2]], dtype=float)
 
     else:  # S2.2.2
-        E11 = _required(params, group, "E11")
-        E22 = _required(params, group, "E22")
-        lam12 = _exactify(params.get("lam12", 0))
-        sign = int(params.get("sign", 1))
+        E11 = _param(params, group, "E11")
+        E22 = _param(params, group, "E22")
+        lam12 = _param(params, group, "lam12", 0)
+        sign = _sign(params, group, "sign")
         if E11 == 0 or E22 == 0:
             raise InfeasibleGroupError("S2.2.2 needs E11 != 0 and E22 != 0")
         val = sgn_s - lam12 * lam12 / (E11 * E22)
@@ -178,20 +175,14 @@ def solve_group(group, params, s=0):
         lam22 = -A * float(E22)
         E = np.array([[E11, 0], [0, E22]], dtype=float)
         Lam = np.array([[lam11, lam12], [lam12, lam22]], dtype=float)
-        T = np.array(
-            [[A, float(lam12) / float(E22)], [float(lam12) / float(E11), -A]]
-        )
+        T = np.array([[A, float(lam12) / float(E22)], [float(lam12) / float(E11), -A]])
 
     # D(m) parity for n = 2m is (m + s) mod 2
-    D_parity = (M_PARITY[group] + s) % 2
-    chk = verify_triple(E, T, Lam, D_parity)
-    det_T = chk.det_T
-    expected = _DET_RULES[group](s)
-    if expected is not None and abs(det_T - expected) > 1e-10:
-        raise RuntimeError(
-            f"{group}: det T = {det_T} does not match the expected {expected}"
-        )
-    return TaxonomySolution(group, E, T, Lam.astype(float), det_T, chk.max_residual())
+    chk = verify_triple(E, T, Lam, (m_parity + s) % 2)
+    expected = None if det_k is None else (-1.0) ** (s + det_k)
+    if expected is not None and abs(chk.det_T - expected) > 1e-10:
+        raise RuntimeError(f"{group}: det T = {chk.det_T} does not match the expected {expected}")
+    return TaxonomySolution(group, E, T, Lam.astype(float), chk.det_T, chk.max_residual())
 
 
 def family_T(u, v):

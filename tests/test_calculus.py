@@ -234,6 +234,7 @@ def test_green_zero_source_runs_no_solve(request, monkeypatch, fixture, degrees)
     for p in degrees:
         # a nonzero source of the same degree gives the deflated count
         ref = green_solve(laplacian(fields.random_trig_form(grid, p, rng)))[1]
+        assert ref.iterations == (1 if grid.is_flat else 2)
         with monkeypatch.context() as m:
             calls = count_calls(m, calculus, ("laplacian",))
             ffts = count_calls(m, np.fft, ("rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn"))
@@ -310,14 +311,19 @@ print("scipy" in sys.modules)
     assert proc.stdout.strip() == "False"
 
 
-def test_green_curved_indefinite_rejected():
+def test_green_curved_indefinite_rejected(t2_embedded):
     g = build_grid(
         GridSpec(2, (16, 16), (TWO_PI, TWO_PI), (-1, 1), metric="embedded-torus", R=2.0, r=1.0)
     )
     src = g.zeros(0)
     src.components[()][:] = np.cos(g.coords[1])
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(NotImplementedError, match="only for s = 0"):
         green_solve(src)
+    # the signature is checked before the degree, and both before a zero source returns
+    with pytest.raises(NotImplementedError, match="only for s = 0"):
+        green_solve(g.zeros(1))
+    with pytest.raises(NotImplementedError, match="degrees 0 and 2"):
+        green_solve(t2_embedded.zeros(1))
 
 
 def test_errors_on_bad_degrees(t2_flat):

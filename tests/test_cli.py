@@ -98,6 +98,15 @@ def test_em_custom_charges(capsys):
     assert abs(sorted(qM)[-1] - 2.0) < 1e-8
 
 
+@pytest.mark.parametrize("charges,entry", [("nan@01", "nan@01"), ("1@01,inf@23", "inf@23")])
+def test_em_non_finite_charges_are_usage_errors(capsys, charges, entry):
+    code = cli.main(["em", "--grid", "8", "--charges", charges])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: --charges needs finite charges, got '{entry}'" in captured.err
+
+
 def test_determinism(capsys):
     argv = ["verify", "--suite", "cohomology", "--grid", "32", "--seed", "5"]
     cli.main(argv)
@@ -255,6 +264,25 @@ def test_taxonomy_missing_param_names_group_and_key(capsys):
     assert "group S2.1.3 needs the parameter 'lam11'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "group,params,message",
+    [
+        ("S2.1.3", '{"E12": 1, "lam11": 1, "lam12": Infinity}', "needs a finite number for 'lam12'"),
+        ("S2.1.3", '{"E12": 1e400, "lam11": 1}', "needs a finite number for 'E12'"),
+        ("S2.1.3", '{"E12": NaN, "lam11": 1}', "needs a finite number for 'E12'"),
+        ("S2.1.2", '{"E12": 1, "sign": 1.5}', "needs the parameter 'sign' = +1 or -1"),
+        ("S2.1.2", '{"E12": 1, "sign": -1.9}', "needs the parameter 'sign' = +1 or -1"),
+    ],
+)
+def test_taxonomy_bad_param_names_group_and_key(capsys, group, params, message):
+    # a non-finite value, or a sign that is not exactly +1 or -1, is refused
+    code = cli.main(["taxonomy", "--group", group, "--params", params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: group {group} {message}" in captured.err
+
+
 @pytest.mark.parametrize("R", ["inf", "nan", "1e300"])
 def test_non_finite_embedded_torus_is_a_usage_error(capsys, R):
     code = cli.main(["torus2", "--mode", "embedded", "--grid", "8", "--R", R])
@@ -308,12 +336,21 @@ def test_verify_zero_by_construction_checks_only_on_curved(capsys, suite):
     assert "identity_lambda_sym" not in flat_names | curved_names
 
 
+# the identity battery: one verify_pair, which builds T, Lambda and the triple once
+BATTERY = {"verify_pair": 1, "matrix_T": 1, "matrix_Lambda": 1, "verify_triple": 1}
+
+
 def test_verify_cohomology_builds_T_once_at_the_middle_degree(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, cohomology, ("matrix_T",))
-    for suite in ("cohomology", "decompose"):
+    calls = count_calls(monkeypatch, cohomology, tuple(BATTERY))
+    for argv, expected in (
+        (["verify", "--suite", "cohomology", "--grid", "16"], BATTERY),
+        (["verify", "--suite", "decompose", "--grid", "16"], {"matrix_T": 1}),
+        (["torus2", "--mode", "flat", "--grid", "16"], BATTERY),
+        (["torus2", "--mode", "embedded", "--grid", "32"], BATTERY),
+    ):
         calls.clear()
-        code, _ = run(capsys, ["verify", "--suite", suite, "--grid", "16"])
-        assert code == 0 and calls["matrix_T"] == 1, suite
+        code, _ = run(capsys, argv)
+        assert code == 0 and calls == expected, argv
 
 
 def test_verify_inputs_record_dim_and_metric(capsys):

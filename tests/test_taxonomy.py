@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from formdec.taxonomy import (
     GROUPS,
+    M_PARITY,
     InfeasibleGroupError,
     admissible_groups,
     family_T,
@@ -13,10 +16,17 @@ from formdec.taxonomy import (
 
 
 def test_admissible_groups():
-    assert admissible_groups(1, 0) == ["S2.1.3"]
-    assert admissible_groups(1, 1) == ["S2.1.3"]
-    assert admissible_groups(0, 1) == ["S2.1.1", "S2.2.2"]
-    assert admissible_groups(0, 0) == ["S2.1.1", "S2.1.2", "S2.2.1", "S2.2.2"]
+    for m, s in itertools.product(range(4), repeat=2):
+        if m % 2:
+            expected = ["S2.1.3"]
+        elif s % 2:
+            expected = ["S2.1.1", "S2.2.2"]
+        else:
+            expected = ["S2.1.1", "S2.1.2", "S2.2.1", "S2.2.2"]
+        assert admissible_groups(m, s) == expected, (m, s)
+    # the --group choices and the seeds of test_random_draw_battery follow this order
+    assert GROUPS == ("S2.1.1", "S2.1.2", "S2.1.3", "S2.2.1", "S2.2.2")
+    assert M_PARITY == {"S2.1.1": 0, "S2.1.2": 0, "S2.1.3": 1, "S2.2.1": 0, "S2.2.2": 0}
 
 
 def test_reality_rule():
@@ -50,10 +60,48 @@ def test_forced_entries_even_s():
 
 
 def test_odd_s_infeasible_groups():
-    with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.2.1", {"E11": 1, "E22": 1}, s=1)
-    with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.1.2", {"E12": 1}, s=1)
+    rng = np.random.default_rng(5)
+    for group, s in itertools.product(GROUPS, range(4)):
+        params = random_params(group, s, rng)
+        if group in admissible_groups(M_PARITY[group], s):
+            assert solve_group(group, params, s=s).constraints_residual <= 1e-12
+        else:
+            with pytest.raises(InfeasibleGroupError, match=f"{group} is infeasible for s parity 1"):
+                solve_group(group, params, s=s)
+
+
+@pytest.mark.parametrize(
+    "group,params,key",
+    [
+        ("S2.1.3", {"E12": 1, "lam11": 1, "lam12": float("inf")}, "lam12"),
+        ("S2.1.3", {"E12": float("inf"), "lam11": 1}, "E12"),
+        ("S2.1.3", {"E12": float("nan"), "lam11": 1}, "E12"),
+        ("S2.1.1", {"E12": 1, "lam11": float("-inf")}, "lam11"),
+        ("S2.2.2", {"E11": 1, "E22": float("nan")}, "E22"),
+        ("S2.1.1", {"E12": 10**400, "lam11": 1}, "E12"),
+        ("S2.1.1", {"E12": None, "lam11": 1}, "E12"),
+    ],
+)
+def test_non_finite_parameters_are_refused(group, params, key):
+    with pytest.raises(ValueError, match=f"group {group} needs a finite number for '{key}'"):
+        solve_group(group, params)
+
+
+@pytest.mark.parametrize(
+    "group,params,key",
+    [
+        ("S2.1.2", {"E12": 1, "sign": 1.5}, "sign"),
+        ("S2.1.2", {"E12": 1, "sign": -1.9}, "sign"),
+        ("S2.1.2", {"E12": 1, "sign": float("nan")}, "sign"),
+        ("S2.2.1", {"E11": 1, "E22": 1, "sign2": 0}, "sign2"),
+        ("S2.2.2", {"E11": 1, "E22": 1, "sign": 3}, "sign"),
+    ],
+)
+def test_signs_must_be_plus_or_minus_one(group, params, key):
+    with pytest.raises(InfeasibleGroupError, match=f"group {group} needs the parameter '{key}'"):
+        solve_group(group, params)
+    for sign in (1, -1, 1.0, -1.0):
+        assert solve_group(group, {**params, key: sign}).constraints_residual <= 1e-12
 
 
 def test_mixed_group_infeasible_parameters():
