@@ -4,10 +4,13 @@ Laplace-Beltrami operator, bilinear pairing, and a minimum-norm Green solver.
 star, d and delta = +-star d star are each written once (_star, _d,
 _delta), on the stacked components of a form, and run alike on grid values
 and on their real-FFT spectra.  Derivatives use periodic eighth-order
-central-difference stencils.  On flat metrics each stencil partial is
-circulant with Fourier symbol i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a
-h_a)/h_a (coefficients c_j after Fornberg, Math. Comp. 51, 1988; symbol as
-in Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), cached per axis on
+central-difference stencils (coefficients c_j after Fornberg, Math. Comp.
+51, 1988), summed by parts: `partial` takes the first differences along
+the axis in one pass and applies the stencil to them as one matrix product
+with a cached band matrix, so an array constant along the axis has an
+exactly zero partial.  On flat metrics each stencil partial is circulant
+with Fourier symbol i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a h_a)/h_a
+(Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), cached per axis on
 the grid.  The Laplacian is then a convolution with the symbol sum_a s_a
 sigma_a^2, the same for every degree and component.  flat_potentials gives
 the Hodge potentials G(delta phi) and G(d phi) as one real-FFT projection.
@@ -75,35 +78,63 @@ def sign_C(p, n, s):
 
 
 def partial(arr, axis, grid):
-    """Periodic central-difference partial derivative along one axis.
+    """Periodic eighth-order central-difference partial of a real array along one axis.
 
-    out_i = sum_{j=1..m} c_j (x_{i+j} - x_{i-j}) / h with m = 4, summed in
-    that order.  The array is padded once by wrapping m planes onto each
-    end (GridSpec keeps N >= 4 = m), and every shifted x is a slice of it.
+    out_i = sum_{j=1..4} c_j (x_{i+j} - x_{i-j}) / h, summed by parts: with
+    e_t = x_t - x_{t-1}, each x_{i+j} - x_{i-j} is e_{i-j+1} + ... + e_{i+j},
+    so out_i = sum_{s=-3..4} w_s e_{i+s} / h with w_s = sum_{j >= max(s, 1-s)}
+    c_j.  One pass takes the first differences e_t, t = -3..N+3, wrapped
+    periodically (GridSpec keeps N >= 4); one matmul applies the banded
+    matrix of _stencil_band to the overlapping windows of e, of length b + 7
+    at stride b.  An array constant along the axis has e = 0, so its partial
+    is exactly 0.  The result is a view into the one buffer that also held e.
     """
-    m = len(_STENCIL)
     N = arr.shape[axis]
-    padded = np.concatenate(
-        (_axis_slice(arr, axis, N - m, N), arr, _axis_slice(arr, axis, 0, m)), axis=axis
-    )
-    out = np.zeros_like(arr)
-    tmp = np.empty_like(arr)
-    for j, c in enumerate(_STENCIL, start=1):
-        np.subtract(
-            _axis_slice(padded, axis, m + j, m + j + N),
-            _axis_slice(padded, axis, m - j, m - j + N),
-            out=tmp,
-        )
-        tmp *= c
-        out += tmp
-    out /= grid.steps[axis]
+    band = _stencil_band(grid, N, grid.steps[axis])
+    b = band.shape[1]
+    x = arr.reshape(math.prod(arr.shape[:axis]), N, -1)
+    A, _, L = x.shape
+    # one allocation for e and out: with two per call glibc trimmed and
+    # re-faulted the heap more often (embedded 256^2 op: 5% more minor faults)
+    size_e = A * (N + 7) * L
+    buf = np.empty(size_e + arr.size)
+    # row r of e holds e_{r-3}: rows 3..N+2 are t = 0..N-1, the rest wrap
+    e = buf[:size_e].reshape(A, N + 7, L)
+    out = buf[size_e:].reshape(arr.shape)
+    np.subtract(x[:, 1:], x[:, :-1], out=e[:, 4 : N + 3])
+    np.subtract(x[:, :1], x[:, -1:], out=e[:, 3:4])
+    e[:, :3] = e[:, N : N + 3]
+    e[:, N + 3 :] = e[:, 3:7]
+    # the windows are np.ndarray views of e, not as_strided: its read of
+    # __array_interface__ makes numpy 2.4 allocate a ~1 MB table after some
+    # thousands of calls, which can pin the top of the heap mid-op
+    s_a, s_t, s_l = e.strides
+    if L == 1:
+        # along the last axis: block k of every row is one product, windows @ band
+        windows = np.ndarray((N // b, A, b + 7), e.dtype, e, 0, (b * s_t, s_a, s_t))
+        np.matmul(windows, band, out=out.reshape(A, N // b, b).transpose(1, 0, 2))
+    else:
+        windows = np.ndarray((A, N // b, b + 7, L), e.dtype, e, 0, (s_a, b * s_t, s_t, s_l))
+        np.matmul(band.T, windows, out=out.reshape(A, N // b, b, L))
     return out
 
 
-def _axis_slice(arr, axis, start, stop):
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(start, stop)
-    return arr[tuple(index)]
+def _stencil_band(grid, N, h):
+    """The (b + 7) x b band matrix of partial, b = gcd(N, 16), cached on the grid.
+
+    Column c holds w_{-3..4} / h in rows c..c+7, so a window of e_t starting
+    at a block's first t - 3 gives the block's b outputs.
+    """
+    cache = grid._symbol_cache
+    key = ("band", N, h)
+    if key not in cache:
+        w = [sum(_STENCIL[max(s, 1 - s) - 1 :]) / h for s in range(-3, 5)]
+        b = math.gcd(N, 16)
+        band = np.zeros((b + 7, b))
+        for c in range(b):
+            band[c : c + 8, c] = w
+        cache[key] = band
+    return cache[key]
 
 
 def d(f: DiscreteForm) -> DiscreteForm:

@@ -233,7 +233,9 @@ def verify_triple(E, T, Lam, D_parity, T_p=None):
     eye = np.eye(beta)
     tt = float(np.max(np.abs(T @ T_p - sgn * eye)))
     et = float(np.max(np.abs(E @ T.T - Lam)))
-    if abs(np.linalg.det(E)) < 1e-300:
+    # scale-free: det(E / max|E|) = det(E) / max|E|^beta
+    scale = float(np.max(np.abs(E)))
+    if scale == 0.0 or abs(np.linalg.det(E / scale)) < 1e-300:
         raise np.linalg.LinAlgError("singular E matrix")
     lel = float(np.max(np.abs(Lam @ np.linalg.inv(E) @ Lam - sgn * E)))
     det_T = float(np.linalg.det(T))

@@ -99,7 +99,9 @@ def solve_group(group, params, s=0):
 
     Raises InfeasibleGroupError for an s parity the group does not admit,
     a sign other than +-1 or a violated inequality, and ValueError naming a
-    missing or non-finite parameter.
+    missing or non-finite parameter, or parameters for which a forced entry
+    (or E11 E22 in S2.2.2) overflows or underflows, so that the triple is not
+    finite or misses the group's det T.
     """
     if group not in GROUPS:
         raise ValueError(
@@ -164,6 +166,8 @@ def solve_group(group, params, s=0):
         sign = _sign(params, group, "sign")
         if E11 == 0 or E22 == 0:
             raise InfeasibleGroupError("S2.2.2 needs E11 != 0 and E22 != 0")
+        if E11 * E22 == 0:
+            raise ValueError(f"{group}: E11 * E22 underflows to 0 for {params}")
         val = sgn_s - lam12 * lam12 / (E11 * E22)
         if val < 0:
             raise InfeasibleGroupError(
@@ -177,11 +181,17 @@ def solve_group(group, params, s=0):
         Lam = np.array([[lam11, lam12], [lam12, lam22]], dtype=float)
         T = np.array([[A, float(lam12) / float(E22)], [float(lam12) / float(E11), -A]])
 
+    if not all(np.all(np.isfinite(M)) for M in (E, T, Lam)):
+        raise ValueError(f"{group}: a forced entry of E, T or Lambda overflows for {params}")
     # D(m) parity for n = 2m is (m + s) mod 2
     chk = verify_triple(E, T, Lam, (m_parity + s) % 2)
     expected = None if det_k is None else (-1.0) ** (s + det_k)
     if expected is not None and abs(chk.det_T - expected) > 1e-10:
-        raise RuntimeError(f"{group}: det T = {chk.det_T} does not match the expected {expected}")
+        # holds to rounding for finite entries; only one that under- or overflowed misses it
+        raise ValueError(
+            f"{group}: det T = {chk.det_T} misses the group's {expected} in floating "
+            f"point: a forced entry under- or overflows for {params}"
+        )
     return TaxonomySolution(group, E, T, Lam.astype(float), chk.det_T, chk.max_residual())
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +118,33 @@ def test_determinism(capsys):
     cli.main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus2", "--mode", "embedded", "--grid", "256"],
+        ["em", "--preset", "mixed", "--grid", "12"],
+        ["verify", "--suite", "core", "--grid", "64"],
+    ],
+    ids=" ".join,
+)
+def test_output_independent_of_blas_threads(argv):
+    # partial is a BLAS matmul: its output must not depend on the thread count
+    src_dir = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "formdec.cli", *argv],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_timings_flag_adds_section(capsys):
@@ -281,6 +312,24 @@ def test_taxonomy_bad_param_names_group_and_key(capsys, group, params, message):
     assert code == 2
     assert captured.out == ""
     assert f"error: group {group} {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "group,params,message",
+    [
+        ("S2.1.1", '{"E12": 1e300, "lam11": 1}', "a forced entry of E, T or Lambda overflows"),
+        ("S2.1.1", '{"E12": 1e200, "lam11": 1e-200}', "a forced entry of E, T or Lambda overflows"),
+        # E is invertible; lam22 = E12^2 / lam11 underflows to 0, so det T = 0
+        ("S2.1.1", '{"E12": 1e-300, "lam11": 1}', "det T = 0.0 misses the group's -1.0"),
+        ("S2.2.2", '{"E11": 1e-200, "E22": 1e-200}', "E11 * E22 underflows to 0"),
+    ],
+)
+def test_taxonomy_out_of_range_triple_is_a_usage_error(capsys, group, params, message):
+    code = cli.main(["taxonomy", "--group", group, "--params", params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {group}: {message}" in captured.err
 
 
 @pytest.mark.parametrize("R", ["inf", "nan", "1e300"])

@@ -140,6 +140,18 @@ def test_verify_triple_beta1_degenerate():
     assert chk.reality_residual > 1.0
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_verify_triple_singularity_is_scale_free(scale):
+    # det E = -scale^2 under- or overflows at the extremes; E / max|E| does not
+    E = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
+    chk = verify_triple(E, np.eye(2), E, 0)
+    assert chk.tt_residual == 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular E matrix"):
+        verify_triple(scale * np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2), E, 0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular E matrix"):
+        verify_triple(np.zeros((2, 2)), np.eye(2), E, 0)
+
+
 def test_star_proportionality_corollary(t2_embedded):
     basis = build_basis(t2_embedded, 1)
     res = cohomology.star_proportionality_residual(basis, matrix_Lambda(basis))
