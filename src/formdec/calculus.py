@@ -12,14 +12,14 @@ exactly zero partial.  On flat metrics each stencil partial is circulant
 with Fourier symbol i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a h_a)/h_a
 (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), cached per axis on
 the grid.  The Laplacian is then a convolution with the symbol sum_a s_a
-sigma_a^2, the same for every degree and component.  flat_potentials gives
-the Hodge potentials G(delta phi) and G(d phi) as one real-FFT projection.
-The curved metric (the embedded torus) depends on v alone, so its 0-form
-Green solve is direct: a real FFT along u and one cached eigendecomposition
-along v diagonalize the stencil Laplacian (fast diagonalization), refined
-once against the stencil; top forms are solved through star.  Both Green
-operators divide by their symbol with one deflation rule (_masked_inverse)
-for its near-null modes and return the minimum-norm solution.
+sigma_a^2, the same for every degree and component.  potentials gives the
+Hodge potentials G(delta phi) and G(d phi) on every metric, on flat ones as
+one real-FFT projection.  The curved metric (the embedded torus) depends on
+v alone, so its 0-form Green solve is direct: a real FFT along u and one
+cached eigendecomposition along v diagonalize the stencil Laplacian (fast
+diagonalization), refined once against the stencil; top forms go through
+star.  Both Green operators divide by their symbol with one deflation rule
+(_masked_inverse) for its near-null modes and return the minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -313,8 +313,8 @@ def _green_form(grid, degree, spectra, green):
     return DiscreteForm(grid, degree, _irfftn(spectra, grid))
 
 
-def flat_potentials(phi):
-    """alpha = G(delta phi) and beta = G(d phi) of a p-form on a flat grid.
+def potentials(phi):
+    """The Hodge potentials alpha = G(delta phi) and beta = G(d phi) of a p-form.
 
     G is the minimum-norm Green operator of green_solve.  On a flat metric
     the stencils are circulant, so this is symbol algebra on the real FFT
@@ -322,9 +322,18 @@ def flat_potentials(phi):
     replaced by its symbol i sigma_a, and G multiplies by the masked
     inverse of the Laplacian symbol.  One rfftn of the stacked components
     of phi, one irfftn each of the stacked components of alpha and beta.
+    On the curved embedded torus they are green_solve of the 0-form
+    delta phi and of the top form d phi of a 1-form; other degrees and an
+    indefinite signature raise NotImplementedError before any stencil runs.
     alpha is None when p = 0 and beta when p = n.
     """
     grid, p = phi.grid, phi.degree
+    if not grid.is_flat:
+        if grid.neg_count != 0:
+            raise NotImplementedError("curved metrics are supported only for s = 0")
+        if p != 1:
+            raise NotImplementedError(f"curved potentials need a 1-form, got degree {p}")
+        return green_solve(delta(phi))[0], green_solve(d(phi))[0]
     isig, _, green, _ = _rfft_symbols(grid)
     term = np.empty(green.shape, complex)
 
@@ -363,7 +372,7 @@ def _curved_symbols(grid):
     eigh of A^-1/2 K A^-1/2 gives V with V^t A V = I, V^t K V = diag(lambda)
     for every mode at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     Returns (V, the masked inverse of sigma_k^2 + lambda_j in rfft-along-u
-    layout, the deflated count), from _masked_inverse.
+    layout, its deflated count, and the constant-mode weight sum sqrt|g|).
     """
     cache = grid._symbol_cache
     if "curved" not in cache:
@@ -377,7 +386,8 @@ def _curved_symbols(grid):
         V = a_isqrt[:, None] * W
         sigma_u = _axis_symbols(grid)[0][: grid.shape[0] // 2 + 1]
         _, green, deflated = _masked_inverse((sigma_u * sigma_u)[:, None] + lam, 0)
-        cache["curved"] = (V, green, deflated)
+        weight = float(np.sum(grid._full(grid.sqrt_abs_g)))
+        cache["curved"] = (V, green, deflated, weight)
     return cache["curved"]
 
 
@@ -393,9 +403,8 @@ def _green_solve_curved(source):
     if source.degree == grid.dim:
         theta, proj, solves = _green_solve_curved(star(source))
         return star(theta), star(proj), solves
-    V, green, _ = _curved_symbols(grid)
+    V, green, _, weight = _curved_symbols(grid)
     sqrt_g = grid.sqrt_abs_g
-    weight = float(np.sum(grid._full(sqrt_g)))
 
     def off_constants(values):
         return values - float(np.sum(values * sqrt_g)) / weight

@@ -100,9 +100,8 @@ def _decompose_pipeline(report, basis, phis):
     The dual quantities use the degree-(n-1) dual basis, so any dimension works.
     Returns the decomposition, dual integrals and norm budget of the last form.
     """
-    grid, dual = basis.grid, basis.dual
-    T_dual = cohomology.matrix_T(basis, dual)  # T^{(n-1)}
-    T = T_dual if dual is basis else cohomology.matrix_T(dual, basis)  # T^{(1)}
+    grid = basis.grid
+    T_dual, T = basis.T, basis.dual.T  # T^{(n-1)}, T^{(1)}
     Dpar = calculus.sign_D(1, grid.dim, grid.neg_count)
     worst = {}
     for phi in phis:
@@ -315,7 +314,7 @@ def cmd_em(args, report):
     charge_list = _parse_charges(args.charges) if args.charges else None
     mu0, c = args.mu0, args.c
     F = fields.em_preset(args.preset, basis2.grid, basis2, mu0=mu0, c=c, charge_list=charge_list)
-    T2 = cohomology.matrix_T(basis2, basis2)
+    T2 = basis2.T
     chg = em.charges(F, basis2, mu0=mu0, c=c)
     JE, JM = em.currents(F, mu0=mu0)
     AE, AM, dec = em.potentials(F, basis2)

@@ -9,6 +9,7 @@ matrix Lambda, and checks the exact identities relating them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,6 +68,11 @@ class CohomologyBasis:
     def dual(self):
         """The degree-(n-p) basis; the basis itself at the middle degree."""
         return self if self._dual is None else self._dual
+
+    @functools.cached_property
+    def T(self):
+        """T^{(n-p)} = matrix_T(self, dual), built on first read and kept."""
+        return matrix_T(self, self.dual)
 
     def coefficients(self, form):
         """Harmonic coefficients c of form = d(a) + delta(b) + sum_a c_a gamma_a.
@@ -246,7 +252,7 @@ def verify_triple(E, T, Lam, D_parity, T_p=None):
 def verify_pair(basis):
     """verify_triple on a basis and its dual.
 
-    Reads E and P off the linked bases; T is built once at the middle
+    Reads E, P and T off the linked bases, so T is built once at the middle
     degree, where the dual is the basis itself.  Returns (matrices, the
     CheckReport), the matrices named as verify_triple's arguments.  lel is
     a middle-degree identity.  E's transpose rule E^{(p)} = (-1)^{(n-p)p}
@@ -255,8 +261,7 @@ def verify_pair(basis):
     """
     grid, dual = basis.grid, basis.dual
     Dpar = calculus.sign_D(basis.degree, grid.dim, grid.neg_count)
-    T = matrix_T(basis, dual)  # T^{(n-p)}
-    T_p = T if dual is basis else matrix_T(dual, basis)  # T^{(p)}
+    T, T_p = basis.T, dual.T  # T^{(n-p)}, T^{(p)}
     Lam = matrix_Lambda(basis)
     chk = verify_triple(basis.E, T, Lam, Dpar, T_p)
     matrices = dict(E=basis.E, E_dual=dual.E, T=T, T_p=T_p, Lambda=Lam, P=basis.P)

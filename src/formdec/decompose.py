@@ -2,10 +2,8 @@
 integrals, the cross relations between them, the compact even-dimension
 block form, and the quantized norm budget.
 
-On flat grids the potentials come from one real-FFT projection of the form
-(calculus.flat_potentials), on curved ones from two direct Green solves;
-the exact and coexact terms are always the stencil d and delta of the
-potentials.
+The potentials come from calculus.potentials on every metric; the exact
+and coexact terms are the stencil d and delta of the potentials.
 """
 
 from __future__ import annotations
@@ -43,28 +41,17 @@ class Decomposition:
 def hodge_decompose(phi, basis):
     """Decompose a p-form against a degree-p representative basis.
 
-    alpha = G(delta phi) at degree p-1 and beta = G(d phi) at degree p+1,
-    with G the minimum-norm Green operator.  On flat grids both come from
-    one real-FFT projection of phi (calculus.flat_potentials); on curved
-    ones from green_solve (tolerance 1e-10), which solves the 0-form
-    delta phi and the top form d phi of a 1-form phi on the embedded torus
-    (other curved degrees raise NotImplementedError).  u holds the harmonic
-    coefficients of phi, basis.coefficients(phi).  The exact and coexact
-    terms are d(alpha) and delta(beta) on the stencils, so on flat grids
-    the residue phi - d(alpha) - delta(beta) - sum u_a gamma_a is the part
-    of phi on deflated non-constant modes plus the Green residual
-    P phi - Delta G P phi of the projection against the stencil Laplacian.
+    The potentials alpha = G(delta phi) and beta = G(d phi) are
+    calculus.potentials(phi); u = basis.coefficients(phi) holds the harmonic
+    coefficients.  The exact and coexact terms are d(alpha) and delta(beta)
+    on the stencils, so on flat grids the residue phi - d(alpha) -
+    delta(beta) - sum u_a gamma_a is the part of phi on deflated
+    non-constant modes plus the Green residual P phi - Delta G P phi of the
+    projection against the stencil Laplacian.
     """
-    grid = phi.grid
-    p = phi.degree
-    if basis.degree != p:
+    if basis.degree != phi.degree:
         raise ValueError("basis degree must match the form degree")
-
-    if grid.is_flat:
-        alpha, beta = calculus.flat_potentials(phi)
-    else:
-        alpha = calculus.green_solve(calculus.delta(phi))[0] if p > 0 else None
-        beta = calculus.green_solve(calculus.d(phi))[0] if p < grid.dim else None
+    alpha, beta = calculus.potentials(phi)
     exact = None if alpha is None else calculus.d(alpha)
     coexact = None if beta is None else calculus.delta(beta)
     terms = [t for t in (exact, coexact) if t is not None]

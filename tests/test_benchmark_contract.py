@@ -3,10 +3,10 @@
 fdbench/ drives formdec through its public names: its tracer rebinds every
 public function in every formdec namespace, and its workloads call the
 library directly.  This runs the tracer's install/uninstall self-check, one
-op of the flat decompose and Minkowski workloads and the decompose op on
-three embedded-torus inputs in a fresh interpreter, so that an API or import
-change that breaks the benchmark, or a missed check, fails here.  fdbench/ is
-only read.
+op of the flat decompose, Minkowski and cli-readme workloads and the
+decompose op on three embedded-torus inputs in a fresh interpreter, so that
+an API or import change that breaks the benchmark, or a missed check, fails
+here.  fdbench/ is only read.
 """
 
 import json
@@ -24,6 +24,7 @@ problems = selftest.check_restore()
 import workloads
 flat = workloads._build_decompose(workloads._grid(2, 32), 1, pool=1)
 mink = workloads.build_minkowski(1, pool=1)
+readme = workloads.build_cli(1, pool=1)
 emb = workloads._build_decompose(
     workloads._grid(2, 64, metric="embedded-torus", R=2.0, r=1.0), 1, pool=3
 )
@@ -32,6 +33,7 @@ print(json.dumps({
     "decompose": workloads.op_decompose(flat, 0),
     "minkowski": workloads.op_minkowski(mink, 0),
     "embedded": [workloads.op_decompose(emb, i) for i in range(3)],
+    "cli": workloads.op_cli(readme, 0),
 }))
 """
 
@@ -47,4 +49,6 @@ def test_benchmark_workloads_run():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {"restore": [], "decompose": [], "minkowski": [], "embedded": [[], [], []]}
+    assert report == {
+        "restore": [], "decompose": [], "minkowski": [], "embedded": [[], [], []], "cli": []
+    }

@@ -326,6 +326,25 @@ def test_green_curved_indefinite_rejected(t2_embedded):
         green_solve(t2_embedded.zeros(1))
 
 
+def test_curved_potentials_are_two_green_solves(monkeypatch):
+    grid = build_grid(
+        GridSpec(2, (32, 32), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=2.0, r=1.0)
+    )
+    phi = fields.random_trig_form(grid, 1, np.random.default_rng(7))
+    expected = (green_solve(delta(phi))[0], green_solve(d(phi))[0])
+    degrees = []
+
+    def recorded(source, **kwargs):
+        degrees.append(source.degree)
+        return green_solve(source, **kwargs)
+
+    monkeypatch.setattr(calculus, "green_solve", recorded)
+    got = calculus.potentials(phi)
+    assert degrees == [0, 2]
+    for form, ref in zip(got, expected):
+        assert form.values.tobytes() == ref.values.tobytes()
+
+
 def test_errors_on_bad_degrees(t2_flat):
     with pytest.raises(ValueError):
         d(t2_flat.volume_form())

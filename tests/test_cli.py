@@ -194,6 +194,15 @@ def test_numeric_failure_is_a_json_report(capsys):
     assert failed[0]["residual"] > failed[0]["tolerance"] == 1e-6
 
 
+def test_cohomology_reports_the_basis_before_a_star_expansion_failure(capsys):
+    # T is built on first read, after the basis checks are reported
+    argv = ["verify", "--suite", "cohomology", "--metric", "embedded-torus", "--grid", "8"]
+    code, doc = run(capsys, argv)
+    assert code == 1
+    checks = [(c["name"], c["pass"]) for c in doc["checks"]]
+    assert checks == [("normalization", True), ("delta_closure", True), ("star_expansion", False)]
+
+
 @pytest.mark.parametrize(
     "exc,stage",
     [

@@ -221,3 +221,15 @@ def test_verify_pair_reuses_E_and_builds_each_T_once(monkeypatch, dim, p):
     assert calls["matrix_T"] == (1 if 2 * p == dim else 2)
     assert matrices["E"] is basis.E and matrices["E_dual"] is basis.dual.E
     assert matrices["P"] is basis.P
+
+
+@pytest.mark.parametrize("dim,p", [(2, 1), (4, 1), (4, 2)])
+def test_second_verify_pair_builds_no_T(monkeypatch, dim, p):
+    # T is kept on each basis, so a second battery reads it back
+    grid = build_grid(GridSpec(dim, (8,) * dim, (TWO_PI,) * dim, (1,) * dim))
+    basis = build_basis(grid, p)
+    first, _ = verify_pair(basis)
+    calls = count_calls(monkeypatch, cohomology, ("matrix_E", "matrix_T"))
+    again, _ = verify_pair(basis)
+    assert calls == {}
+    assert again["T"] is first["T"] is basis.T and again["T_p"] is basis.dual.T

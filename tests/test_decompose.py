@@ -445,3 +445,26 @@ def test_gauge_d_beta_on_t3():
     res = decompose.decomposition_residuals(phi, hodge_decompose(phi, basis), basis)
     assert "gauge_delta_alpha" not in res
     assert 0.0 < res["gauge_d_beta"] <= 1e-8
+
+
+def test_curved_hodge_decompose_refuses_other_degrees(monkeypatch):
+    # curved potentials are two Green solves of a 1-form's delta and d; an
+    # indefinite signature and then any other degree are refused before any
+    # stencil runs
+    grid = embedded((16, 16), 2.0, 1.0)
+    indefinite = build_grid(
+        GridSpec(2, (16, 16), (TWO_PI, TWO_PI), (-1, 1), "embedded-torus", 2.0, 1.0)
+    )
+    cases = [(grid, p, f"got degree {p}") for p in (0, 2)]
+    cases += [(indefinite, p, "only for s = 0") for p in (0, 2)]
+    for g, p, message in cases:
+        basis = cohomology.build_basis(g, p)
+        phi = random_form(g, p, 66)
+        calls = count_calls(monkeypatch, calculus, ("partial", "green_solve"))
+        with pytest.raises(NotImplementedError, match=message):
+            hodge_decompose(phi, basis)
+        assert calls == {}
+        monkeypatch.undo()
+    # no degree-1 basis exists there, so the signature error is read off potentials
+    with pytest.raises(NotImplementedError, match="only for s = 0"):
+        calculus.potentials(random_form(indefinite, 1, 66))

@@ -311,7 +311,7 @@ def test_delta_is_signed_star_d_star(grid, seed):
 @FAST
 @given(grid=any_grids(), seed=st.integers(0, 2**32 - 1))
 def test_operators_leave_their_input_unchanged(grid, seed):
-    # delta and flat_potentials run a star in place on their own buffers
+    # delta and the flat potentials run a star in place on their own buffers
     n = grid.dim
     for p in range(n + 1):
         f = random_form(grid, p, seed)
@@ -319,7 +319,7 @@ def test_operators_leave_their_input_unchanged(grid, seed):
         ops = [calculus.star, calculus.laplacian]
         ops += [calculus.d] if p < n else []
         ops += [calculus.delta] if p > 0 else []
-        ops += [calculus.flat_potentials] if grid.is_flat else []
+        ops += [calculus.potentials] if grid.is_flat else []
         if grid.is_flat or p in (0, n):
             ops.append(lambda f: calculus.green_solve(f, tol=math.inf))
         for op in ops:
