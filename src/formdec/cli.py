@@ -27,6 +27,8 @@ MINKOWSKI = (-1, 1, 1, 1)
 
 NOT_INPUTS = ("command", "func", "json_out", "timings")
 
+MAX_POINTS = 2**22  # a dim-4 run holds about 650 bytes per point
+
 
 class Report:
     """Accumulates matrices, values and named pass/fail checks of parsed args."""
@@ -77,6 +79,14 @@ class Report:
 
 
 def _grid(args, dim, metric="flat", signature=None):
+    if args.grid**dim > MAX_POINTS:
+        n = math.floor(MAX_POINTS ** (1.0 / dim)) + 1
+        while n**dim > MAX_POINTS or n % 2:
+            n -= 1
+        raise ValueError(
+            f"--grid {args.grid} in {dim} dimensions makes {args.grid**dim} points, "
+            f"more than {MAX_POINTS}; the largest accepted even --grid is {n}"
+        )
     spec = GridSpec(
         dim=dim,
         points=(args.grid,) * dim,
@@ -301,10 +311,13 @@ def _parse_charges(text):
     out = []
     for part in text.split(","):
         q, _, cls = part.partition("@")
-        q = float(q)
+        try:
+            q, (i, j) = float(q), map(int, cls.strip())
+        except ValueError:
+            raise ValueError(f"--charges needs entries like 1@01, got {part!r}") from None
         if not math.isfinite(q):
             raise ValueError(f"--charges needs finite charges, got {part!r}")
-        out.append((q, tuple(int(ch) for ch in cls.strip())))
+        out.append((q, (i, j)))
     return out
 
 
@@ -312,13 +325,12 @@ def cmd_em(args, report):
     """Charges, currents, potentials and action of a preset field F."""
     basis2 = cohomology.build_basis(_grid(args, 4, signature=MINKOWSKI), 2)
     charge_list = _parse_charges(args.charges) if args.charges else None
-    mu0, c = args.mu0, args.c
-    F = fields.em_preset(args.preset, basis2.grid, basis2, mu0=mu0, c=c, charge_list=charge_list)
+    F = fields.em_preset(args.preset, basis2.grid, basis2, charge_list=charge_list)
     T2 = basis2.T
-    chg = em.charges(F, basis2, mu0=mu0, c=c)
-    JE, JM = em.currents(F, mu0=mu0)
+    chg = em.charges(F, basis2)
+    JE, JM = em.currents(F)
     AE, AM, dec = em.potentials(F, basis2)
-    act = em.action(F, AE, AM, JE, JM, chg, basis2.E, basis2.P, mu0=mu0, c=c)
+    act = em.action(F, AE, AM, JE, JM, chg, basis2.E, basis2.P)
     report.value("qM", chg.qM.tolist())
     report.value("qE", chg.qE.tolist())
     report.value("betti_2", basis2.betti)
@@ -351,13 +363,6 @@ def _int_at_least(low):
     return integer
 
 
-def _positive_float(text):
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="formdec",
@@ -366,6 +371,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, func):
+        p.allow_abbrev = False  # a prefix such as --c is not read as --charges
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument("--json-out", dest="json_out", default=None, help="also write JSON here")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
@@ -414,8 +420,6 @@ def build_parser():
     p = sub.add_parser("em", help="electromagnetic demo on the Minkowski 4-torus")
     p.add_argument("--preset", choices=["topological", "exact", "mixed"], default="topological")
     p.add_argument("--charges", default=None, help="comma list like 1@01,2@23")
-    p.add_argument("--mu0", type=_positive_float, default=1.0)
-    p.add_argument("--c", type=_positive_float, default=1.0)
     p.add_argument("--grid", type=int, default=12, help="points per axis")
     common(p, cmd_em)
     return parser

@@ -2,8 +2,8 @@
 component conventions, topological charges, continuous currents, the
 double potential, and the quantized action budget.
 
-Units are SI with mu0 and c carried explicitly; passing mu0 = c = 1
-gives normalized test units.
+Units set the vacuum permeability and the speed of light to 1 throughout;
+only lambda_scale takes the SI constants.
 """
 
 from __future__ import annotations
@@ -36,45 +36,43 @@ class ActionBreakdown:
     magnetic_term: float
     quantized_term: float
     total: float
-    lagrangian_total: float  # -(1/mu0 c)(F,F) - (1/c)(AE,JE) - (1/c)(AM,JM)
+    lagrangian_total: float  # -(F,F) - (AE,JE) - (AM,JM)
 
     @property
     def cross_check_residual(self):
-        return abs(self.total - self.lagrangian_total)
+        return abs(self.total - self.lagrangian_total) / max(1.0, abs(self.lagrangian_total))
 
 
-def assemble_F(Efield, Bfield, grid, c=1.0):
+def assemble_F(Efield, Bfield, grid):
     """Build F from per-point E and B arrays (3 each) in MTW conventions.
 
-    F_{0i} = -E_i/c on the (0,i) pairs; B fills the spatial pairs as
+    F_{0i} = -E_i on the (0,i) pairs; B fills the spatial pairs as
     F_{23} = B1, F_{13} = -B2, F_{12} = B3.  Returns the 2-form F.
     """
     require_minkowski(grid)
     F = grid.zeros(2)
     for i in range(3):
-        F.components[(0, i + 1)] += -np.asarray(Efield[i], dtype=float) / c
+        F.components[(0, i + 1)] -= np.asarray(Efield[i], dtype=float)
     F.components[(2, 3)] += np.asarray(Bfield[0], dtype=float)
     F.components[(1, 3)] += -np.asarray(Bfield[1], dtype=float)
     F.components[(1, 2)] += np.asarray(Bfield[2], dtype=float)
     return F
 
 
-def charges(F, basis2, mu0=1.0, c=1.0):
-    """Topological charges: mu0 c qM_a = int_{z_a} F, mu0 c qE_a = int_{z_a} *F.
+def charges(F, basis2):
+    """Topological charges: qM_a = int_{z_a} F, qE_a = int_{z_a} *F.
 
     These are the cycle integrals u and dual integrals v of F at p = 2.  The
     offset average gives qM for a closed F; *F need not be closed, so qE is
     read off the wedge pairing by dual_decompose.
     """
     qM = np.array([integrate_cycle_mean(F, z) for z in basis2.cycles])
-    return ChargeSet(qM / (mu0 * c), decompose.dual_decompose(F, basis2) / (mu0 * c))
+    return ChargeSet(qM, decompose.dual_decompose(F, basis2))
 
 
-def currents(F, mu0=1.0):
-    """Continuous sources: JE = delta(F)/mu0, JM = -delta(*F)/mu0."""
-    JE = calculus.delta(F) * (1.0 / mu0)
-    JM = calculus.delta(calculus.star(F)) * (-1.0 / mu0)
-    return JE, JM
+def currents(F):
+    """Continuous sources: JE = delta(F), JM = -delta(*F)."""
+    return calculus.delta(F), -calculus.delta(calculus.star(F))
 
 
 def potentials(F, basis2):
@@ -104,26 +102,22 @@ def charge_relations(qM, qE, T2):
     }
 
 
-def action(F, AE, AM, JE, JM, charge_set, E2, P, mu0=1.0, c=1.0):
+def action(F, AE, AM, JE, JM, charge_set, E2, P):
     """Quantized action budget.
 
-    S = -(2/c)(AE,JE) - (2/c)(AM,JM) - mu0 c sum_a eps_{a,P(a)} qM_a qE_{P(a)},
-    cross-checked against S = -(1/mu0 c)(F,F) - (1/c)(AE,JE) - (1/c)(AM,JM).
+    S = -2(AE,JE) - 2(AM,JM) - sum_a eps_{a,P(a)} qM_a qE_{P(a)},
+    cross-checked against S = -(F,F) - (AE,JE) - (AM,JM).
     """
     pe = calculus.pairing(AE, JE)
     pm = calculus.pairing(AM, JM)
-    s_d = -mu0 * c * decompose.topological_sum(E2, P, charge_set.qM, charge_set.qE)
-    electric = -(2.0 / c) * pe
-    magnetic = -(2.0 / c) * pm
-    total = electric + magnetic + s_d
-    lagrangian = (
-        -(1.0 / (mu0 * c)) * calculus.pairing(F, F) - pe / c - pm / c
-    )
-    return ActionBreakdown(electric, magnetic, s_d, total, lagrangian)
+    s_d = -decompose.topological_sum(E2, P, charge_set.qM, charge_set.qE)
+    electric, magnetic = -2.0 * pe, -2.0 * pm
+    lagrangian = -calculus.pairing(F, F) - pe - pm
+    return ActionBreakdown(electric, magnetic, s_d, electric + magnetic + s_d, lagrangian)
 
 
-def maxwell_residuals(F, JE, JM, mu0=1.0):
-    """Normalized residuals of d*F = mu0 *JE and dF = mu0 *JM.
+def maxwell_residuals(F, JE, JM):
+    """Normalized residuals of d*F = *JE and dF = *JM.
 
     With JE, JM = currents(F) both residuals are zero by construction:
     currents() defines JE and JM from delta(F) and delta(*F), and on the
@@ -132,8 +126,8 @@ def maxwell_residuals(F, JE, JM, mu0=1.0):
     measures something only for currents obtained independently of F.
     """
     scale = max(F.norm_inf(), 1e-300)
-    r1 = (calculus.d(calculus.star(F)) - calculus.star(JE) * mu0).norm_inf() / scale
-    r2 = (calculus.d(F) - calculus.star(JM) * mu0).norm_inf() / scale
+    r1 = (calculus.d(calculus.star(F)) - calculus.star(JE)).norm_inf() / scale
+    r2 = (calculus.d(F) - calculus.star(JM)).norm_inf() / scale
     return {"electric": r1, "magnetic": r2}
 
 

@@ -56,10 +56,10 @@ def em_gauge_potential(grid):
     return A
 
 
-def em_preset(name, grid, basis2, mu0=1.0, c=1.0, charge_list=None):
+def em_preset(name, grid, basis2, charge_list=None):
     """Named electromagnetic 2-form presets on the Minkowski 4-torus.
 
-    topological: mu0 c sum of charges on cohomology classes (default 1@01);
+    topological: sum of charges on cohomology classes (default 1@01);
     exact:       F = d A0 for the smooth gauge potential A0;
     mixed:       both contributions together.
     """
@@ -70,7 +70,7 @@ def em_preset(name, grid, basis2, mu0=1.0, c=1.0, charge_list=None):
         if tuple(pair) not in comps:
             raise ValueError(f"unknown cohomology class {pair}")
         classes.append(basis2.gammas[comps.index(tuple(pair))])
-    topo = linear_combination(classes, [mu0 * c * q for q, _ in charge_list])
+    topo = linear_combination(classes, [q for q, _ in charge_list])
     if name == "topological":
         return topo
     exact = calculus.d(em_gauge_potential(grid))

@@ -171,7 +171,7 @@ def test_criterion_7_em_demo(capsys):
     t0 = time.perf_counter()
     grid = build_grid(GridSpec(4, (12,) * 4, (TWO_PI,) * 4, (-1, 1, 1, 1)))
     basis2 = cohomology.build_basis(grid, 2)
-    F = fields.em_preset("topological", grid, basis2)  # F = mu0 c gamma_(01)
+    F = fields.em_preset("topological", grid, basis2)  # F = gamma_(01)
     E2, P2 = cohomology.matrix_E(basis2, basis2)
     T2 = cohomology.matrix_T(basis2, basis2)
     cs = em.charges(F, basis2)
@@ -204,7 +204,7 @@ def test_criterion_7_em_demo(capsys):
             7,
             ok,
             f"charges {charge_err:.3e}, quadrature {quad_res:.3e}, "
-            f"S_d-mu0c {abs(act.quantized_term - 1.0):.3e}, "
+            f"S_d-1 {abs(act.quantized_term - 1.0):.3e}, "
             f"maxwell {max(mx.values()):.3e}, {elapsed:.2f}s",
         )
 

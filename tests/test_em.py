@@ -40,8 +40,8 @@ def test_assemble_uniform_electric_sign(setup):
     grid, basis2, E2, P, T2 = setup
     zero = np.zeros(grid.shape)
     e1 = np.full(grid.shape, 2.0)
-    F = assemble_F([e1, zero, zero], [zero] * 3, grid, c=2.0)
-    assert np.all(F.components[(0, 1)] == -1.0)  # -E1/c
+    F = assemble_F([e1, zero, zero], [zero] * 3, grid)
+    assert np.all(F.components[(0, 1)] == -2.0)  # F_01 = -E_1
 
 
 def test_assemble_rejects_wrong_grid(t2_flat):
@@ -162,7 +162,7 @@ def test_action_worked_case(setup):
     JE, JM = currents(F)
     AE, AM, _ = potentials(F, basis2)
     br = action(F, AE, AM, JE, JM, cs, E2, P)
-    assert abs(br.quantized_term - 1.0) < 1e-10  # + mu0 c with mu0 = c = 1
+    assert abs(br.quantized_term - 1.0) < 1e-10  # S_d = -sum eps qM qE = 1
     assert abs(br.electric_term) < 1e-10 and abs(br.magnetic_term) < 1e-10
     assert abs(br.total - 1.0) < 1e-10
     assert br.cross_check_residual < 1e-10

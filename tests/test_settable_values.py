@@ -1,13 +1,18 @@
-"""Every value a caller can set on the library's public names, itemised.
+"""Every value a caller can set on the library's public names, and every
+option of the command line, itemised.
 
 The walk covers the public functions, the public methods of public classes
 and the defaulted fields of public dataclasses that each module defines.
-A new keyword default or dataclass default shows up as a diff of SETTABLE.
+A new keyword default or dataclass default shows up as a diff of SETTABLE,
+and a new or deleted `--flag` as a diff of OPTIONS.
 """
 
+import argparse
 import dataclasses
 import importlib
 import inspect
+
+from formdec import cli
 
 MODULES = ("calculus", "cli", "cohomology", "decompose", "em", "fields", "mesh", "taxonomy")
 
@@ -15,16 +20,7 @@ SETTABLE = [
     "calculus.green_solve(tol)",
     "cli.main(argv)",
     "cohomology.verify_triple(T_p)",
-    "em.action(c)",
-    "em.action(mu0)",
-    "em.assemble_F(c)",
-    "em.charges(c)",
-    "em.charges(mu0)",
-    "em.currents(mu0)",
-    "em.maxwell_residuals(mu0)",
-    "fields.em_preset(c)",
     "fields.em_preset(charge_list)",
-    "fields.em_preset(mu0)",
     "mesh.GridSpec.R",
     "mesh.GridSpec.metric",
     "mesh.GridSpec.r",
@@ -62,3 +58,28 @@ def test_settable_values_are_itemised():
                     if public and inspect.isfunction(fn):
                         found += [f"{name}.{attr}.{meth}({p})" for p in _defaults(fn)]
     assert sorted(found) == SETTABLE
+
+
+COMMON = ["--seed", "--json-out", "--timings"]
+
+OPTIONS = {
+    "verify": ["--suite", "--dim", "--metric", "--R", "--r", "--grid", *COMMON],
+    "torus2": ["--mode", "--R", "--r", "--grid", *COMMON],
+    "taxonomy": ["--m-parity", "--s", "--group", "--params", "--draws", *COMMON],
+    "decompose": ["--preset", "--grid", *COMMON],
+    "em": ["--preset", "--charges", "--grid", *COMMON],
+}
+
+
+def test_cli_options_are_itemised():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        command: [
+            a.option_strings[0]
+            for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ]
+        for command, parser in sub.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 35
