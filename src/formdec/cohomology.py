@@ -219,7 +219,7 @@ class CheckReport:
         return max(self.tt_residual, self.et_residual, self.lel_residual)
 
 
-def verify_triple(E, T, Lam, D_parity, T_p=None):
+def verify_triple(E, T, Lam, D_parity, T_p):
     """The E/T/Lambda identity battery.
 
       tt:  T T_p - (-1)^D I
@@ -227,12 +227,12 @@ def verify_triple(E, T, Lam, D_parity, T_p=None):
       lel: Lambda E^-1 Lambda - (-1)^D E   (a middle-degree identity)
       reality: |det T|^2 - (-1)^{beta D}
 
-    At the middle degree a single T maps the basis to itself and T_p = T.
+    At the middle degree a single T maps the basis to itself: pass T_p = T.
     For a complementary pair, T is T^{(n-p)} and T_p is T^{(p)}.
     """
     E = np.asarray(E, dtype=float)
     T = np.asarray(T, dtype=float)
-    T_p = T if T_p is None else np.asarray(T_p, dtype=float)
+    T_p = np.asarray(T_p, dtype=float)
     Lam = np.asarray(Lam, dtype=float)
     beta = E.shape[0]
     sgn = -1.0 if D_parity % 2 else 1.0

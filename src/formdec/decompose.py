@@ -124,6 +124,9 @@ def cross_relation_check(u, v, T, D_parity, T_dual):
     forward:    u_a = (-1)^D sum_b tau^{(p)}_{ba} v_b
     reciprocal: v_a = sum_b tau^{(n-p)}_{ba} u_b
     quadrature: w = i T^t w with w = u + i v      (middle degree, odd D)
+
+    Each residual is divided by max(1, max|u|, max|v|), the scale rule of
+    NormBreakdown.budget_error.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -134,6 +137,8 @@ def cross_relation_check(u, v, T, D_parity, T_dual):
     if D_parity % 2:
         w = u + 1j * v
         out["quadrature"] = _max_abs(w - 1j * (T.T @ w))
+    scale = max(1.0, _max_abs(u), _max_abs(v))
+    out = {name: res / scale for name, res in out.items()}
     out["max"] = max(out.values())
     return out
 

@@ -15,15 +15,18 @@ import numpy as np
 
 from .cohomology import verify_triple
 
-# Each group's rules: the parity of m, the admissible parities of s, and k
-# with det T = (-1)^(s+k), None where the sign of det T is free.  S2.1.2
-# admits even s only, so its det T = (-1)^s is always 1.
+# Each group's rules: the parity of m, the admissible parities of s, k with det T =
+# (-1)^(s+k) (None where it is free; S2.1.2 admits even s only, so its det T is 1), and
+# the free parameters in order by kind: "nonzero" is required and refused at 0, "real"
+# defaults to 0, and "sign" is +1 or -1 and defaults to 1.
 _RULES = {
-    "S2.1.1": (0, (0, 1), 1),
-    "S2.1.2": (0, (0,), 0),
-    "S2.1.3": (1, (0, 1), 0),
-    "S2.2.1": (0, (0,), None),
-    "S2.2.2": (0, (0, 1), 1),
+    "S2.1.1": (0, (0, 1), 1, {"E12": "nonzero", "lam11": "nonzero"}),
+    "S2.1.2": (0, (0,), 0, {"E12": "nonzero", "sign": "sign"}),
+    "S2.1.3": (1, (0, 1), 0, {"E12": "nonzero", "lam11": "nonzero", "lam12": "real"}),
+    "S2.2.1": (
+        0, (0,), None, {"E11": "nonzero", "E22": "nonzero", "sign1": "sign", "sign2": "sign"}
+    ),
+    "S2.2.2": (0, (0, 1), 1, {"E11": "nonzero", "E22": "nonzero", "lam12": "real", "sign": "sign"}),
 }
 GROUPS = tuple(_RULES)
 M_PARITY = {group: rule[0] for group, rule in _RULES.items()}
@@ -46,7 +49,7 @@ class TaxonomySolution:
 def admissible_groups(m_parity, s_parity):
     """Groups allowed for the given parities of m and s."""
     m_parity, s_parity = m_parity % 2, s_parity % 2
-    return [g for g, (m, s_pars, _) in _RULES.items() if m == m_parity and s_parity in s_pars]
+    return [g for g, (m, s_pars, *_) in _RULES.items() if m == m_parity and s_parity in s_pars]
 
 
 def reality_rule(beta, D_parity):
@@ -63,11 +66,12 @@ def _exactify(x):
     return float(x)
 
 
-def _param(params, group, key, default=None):
-    """params[key] through _exactify; refuses it missing (without default) or non-finite."""
-    if key not in params and default is None:
+def _param(params, group, key, kind):
+    """params[key] through _exactify, 0 when a "real" one is missing; refuses it non-finite
+    or a missing "nonzero" one."""
+    if key not in params and kind == "nonzero":
         raise ValueError(f"group {group} needs the parameter {key!r}, got {sorted(params)}")
-    value = params.get(key, default)
+    value = params.get(key, 0)
     try:
         x = _exactify(value)
         if math.isfinite(x):
@@ -87,20 +91,17 @@ def _sign(params, group, key):
     return int(sign)
 
 
-def solve_group(group, params, s=0):
+def solve_group(group, params, s):
     """Exact (E, T, Lambda) triple for one taxonomy group.
 
-    `params` supplies the free entries:
-      S2.1.1: E12 != 0, lam11 != 0          (lam22 forced)
-      S2.1.2: E12 != 0, sign in {+1,-1}     (lam12 = sign*E12; s even)
-      S2.1.3: E12 != 0, lam11 != 0, lam12   (lam22 forced)
-      S2.2.1: E11, E22 != 0, sign1, sign2   (s even)
-      S2.2.2: E11, E22 != 0, lam12, sign    (lam11, lam22 forced)
+    `params` holds the free parameters that the group's _RULES row names,
+    and the group's branch below forces the other entries.
 
     Raises InfeasibleGroupError for an s parity the group does not admit,
-    a sign other than +-1 or a violated inequality, and ValueError naming a
-    missing or non-finite parameter, or parameters for which a forced entry
-    (or E11 E22 in S2.2.2) overflows or underflows, so that the triple is not
+    a sign other than +-1, a required parameter at 0 or a violated
+    inequality, and ValueError naming a parameter that is missing, unknown
+    to the group or non-finite, or parameters for which a forced entry (or
+    E11 E22 in S2.2.2) overflows or underflows, so that the triple is not
     finite or misses the group's det T.
     """
     if group not in GROUPS:
@@ -108,41 +109,43 @@ def solve_group(group, params, s=0):
             f"unknown group {group!r}: only the beta_m = 2 groups "
             f"{GROUPS} are classified (beta_m > 2 is not supported)"
         )
-    m_parity, s_parities, det_k = _RULES[group]
+    m_parity, s_parities, det_k, kinds = _RULES[group]
     s = int(s) % 2
     if s not in s_parities:
         raise InfeasibleGroupError(
             f"{group} is infeasible for s parity {s}; the groups for m parity "
             f"{m_parity} and s parity {s} are {admissible_groups(m_parity, s)}"
         )
+    for key in params:
+        if key not in kinds:
+            raise ValueError(
+                f"group {group} has no parameter {key!r}; its parameters are {list(kinds)}"
+            )
+    p = {
+        key: _sign(params, group, key) if kind == "sign" else _param(params, group, key, kind)
+        for key, kind in kinds.items()
+    }
+    nonzero = [key for key, kind in kinds.items() if kind == "nonzero"]
+    if any(p[key] == 0 for key in nonzero):
+        raise InfeasibleGroupError(f"{group} needs " + " and ".join(f"{k} != 0" for k in nonzero))
     sgn_s = 1 if s == 0 else -1
 
     if group == "S2.1.1":
-        E12 = _param(params, group, "E12")
-        lam11 = _param(params, group, "lam11")
-        if E12 == 0 or lam11 == 0:
-            raise InfeasibleGroupError("S2.1.1 needs E12 != 0 and lam11 != 0")
+        E12, lam11 = p["E12"], p["lam11"]
         lam22 = sgn_s * E12 * E12 / lam11
         E = np.array([[0, E12], [E12, 0]], dtype=float)
         Lam = np.array([[lam11, 0], [0, lam22]], dtype=float)
         T = np.array([[0, lam11 / E12], [lam22 / E12, 0]], dtype=float)
 
     elif group == "S2.1.2":
-        E12 = _param(params, group, "E12")
-        lam12 = _sign(params, group, "sign") * E12
-        if E12 == 0:
-            raise InfeasibleGroupError("S2.1.2 needs E12 != 0")
+        E12, lam12 = p["E12"], p["sign"] * p["E12"]
         E = np.array([[0, E12], [E12, 0]], dtype=float)
         Lam = np.array([[0, lam12], [lam12, 0]], dtype=float)
         a = lam12 / E12
         T = np.array([[a, 0], [0, a]], dtype=float)
 
     elif group == "S2.1.3":
-        E12 = _param(params, group, "E12")
-        lam11 = _param(params, group, "lam11")
-        lam12 = _param(params, group, "lam12", 0)
-        if E12 == 0 or lam11 == 0:
-            raise InfeasibleGroupError("S2.1.3 needs E12 != 0 and lam11 != 0")
+        E12, lam11, lam12 = p["E12"], p["lam11"], p["lam12"]
         # lam12^2 - lam11 lam22 = (-1)^{s+1} E12^2
         lam22 = (lam12 * lam12 + sgn_s * E12 * E12) / lam11
         E = np.array([[0, E12], [-E12, 0]], dtype=float)
@@ -150,22 +153,13 @@ def solve_group(group, params, s=0):
         T = np.array([[-lam12, lam11], [-lam22, lam12]], dtype=float) / float(E12)
 
     elif group == "S2.2.1":
-        E11 = _param(params, group, "E11")
-        E22 = _param(params, group, "E22")
-        sign1, sign2 = _sign(params, group, "sign1"), _sign(params, group, "sign2")
-        if E11 == 0 or E22 == 0:
-            raise InfeasibleGroupError("S2.2.1 needs E11 != 0 and E22 != 0")
+        E11, E22, sign1, sign2 = p["E11"], p["E22"], p["sign1"], p["sign2"]
         E = np.array([[E11, 0], [0, E22]], dtype=float)
         Lam = np.array([[sign1 * E11, 0], [0, sign2 * E22]], dtype=float)
         T = np.array([[sign1, 0], [0, sign2]], dtype=float)
 
     else:  # S2.2.2
-        E11 = _param(params, group, "E11")
-        E22 = _param(params, group, "E22")
-        lam12 = _param(params, group, "lam12", 0)
-        sign = _sign(params, group, "sign")
-        if E11 == 0 or E22 == 0:
-            raise InfeasibleGroupError("S2.2.2 needs E11 != 0 and E22 != 0")
+        E11, E22, lam12, sign = p["E11"], p["E22"], p["lam12"], p["sign"]
         if E11 * E22 == 0:
             raise ValueError(f"{group}: E11 * E22 underflows to 0 for {params}")
         val = sgn_s - lam12 * lam12 / (E11 * E22)
@@ -184,7 +178,7 @@ def solve_group(group, params, s=0):
     if not all(np.all(np.isfinite(M)) for M in (E, T, Lam)):
         raise ValueError(f"{group}: a forced entry of E, T or Lambda overflows for {params}")
     # D(m) parity for n = 2m is (m + s) mod 2
-    chk = verify_triple(E, T, Lam, (m_parity + s) % 2)
+    chk = verify_triple(E, T, Lam, (m_parity + s) % 2, T)
     expected = None if det_k is None else (-1.0) ** (s + det_k)
     if expected is not None and abs(chk.det_T - expected) > 1e-10:
         # holds to rounding for finite entries; only one that under- or overflowed misses it
@@ -204,37 +198,25 @@ def family_T(u, v):
     return np.array([[u, v], [-(1 + u * u) / v, -u]], dtype=float)
 
 
+_DRAWS = {
+    "nonzero": lambda rng: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
+    "real": lambda rng: float(rng.uniform(-2, 2)),
+    "sign": lambda rng: int(rng.choice([-1, 1])),
+}
+
+
 def random_params(group, s, rng):
-    """A feasible random parameter draw for solve_group."""
-
-    def nonzero():
-        return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
-
-    if group == "S2.1.1":
-        return {"E12": nonzero(), "lam11": nonzero()}
-    if group == "S2.1.2":
-        return {"E12": nonzero(), "sign": int(rng.choice([-1, 1]))}
-    if group == "S2.1.3":
-        return {"E12": nonzero(), "lam11": nonzero(), "lam12": float(rng.uniform(-2, 2))}
-    if group == "S2.2.1":
-        return {
-            "E11": nonzero(),
-            "E22": nonzero(),
-            "sign1": int(rng.choice([-1, 1])),
-            "sign2": int(rng.choice([-1, 1])),
-        }
-    if group == "S2.2.2":
-        E11 = nonzero()
-        if s % 2:
-            # needs E11*E22 < 0 and lam12^2 >= |E11*E22|
-            E22 = -math.copysign(float(rng.uniform(0.5, 2.0)), E11)
-            lam12 = float(
-                rng.choice([-1.0, 1.0]) * math.sqrt(abs(E11 * E22)) * rng.uniform(1.0, 2.0)
-            )
-        else:
-            E22 = math.copysign(float(rng.uniform(0.5, 2.0)), E11)
-            lam12 = float(
-                rng.uniform(-1.0, 1.0) * math.sqrt(abs(E11 * E22))
-            )
-        return {"E11": E11, "E22": E22, "lam12": lam12, "sign": int(rng.choice([-1, 1]))}
-    raise ValueError(f"unknown group {group!r}")
+    """A feasible draw for solve_group: by kind, but S2.2.2's E22 and lam12 as it admits."""
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
+    if group != "S2.2.2":
+        return {key: _DRAWS[kind](rng) for key, kind in _RULES[group][3].items()}
+    E11 = _DRAWS["nonzero"](rng)
+    if s % 2:
+        # needs E11*E22 < 0 and lam12^2 >= |E11*E22|
+        E22 = -math.copysign(float(rng.uniform(0.5, 2.0)), E11)
+        lam12 = float(rng.choice([-1.0, 1.0]) * math.sqrt(abs(E11 * E22)) * rng.uniform(1.0, 2.0))
+    else:
+        E22 = math.copysign(float(rng.uniform(0.5, 2.0)), E11)
+        lam12 = float(rng.uniform(-1.0, 1.0) * math.sqrt(abs(E11 * E22)))
+    return {"E11": E11, "E22": E22, "lam12": lam12, "sign": _DRAWS["sign"](rng)}

@@ -58,7 +58,7 @@ def test_criterion_2_embedded_torus2(capsys):
     E, _ = cohomology.matrix_E(basis, basis)
     T = cohomology.matrix_T(basis, basis)
     L = cohomology.matrix_Lambda(basis)
-    chk = cohomology.verify_triple(E, T, L, calculus.sign_D(1, 2, 0))
+    chk = cohomology.verify_triple(E, T, L, calculus.sign_D(1, 2, 0), T)
     elapsed = time.perf_counter() - t0
     worst = max(
         abs(T[0, 1] - tau12_oracle),

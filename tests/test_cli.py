@@ -129,6 +129,13 @@ def test_em_action_budget_scales_with_the_action(capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
+def test_em_charge_relations_scale_with_the_charges(capsys):
+    # the charges are 1e8; an absolute residual would miss 1e-8 by rounding alone
+    code, doc = run(capsys, ["em", "--grid", "12", "--charges", "1e8@01,1e8@23"])
+    assert code == 0
+    assert all(c["pass"] for c in doc["checks"])
+
+
 @pytest.mark.parametrize("suite", ["core", "cohomology", "decompose"])
 def test_verify_dim_4_default_grid_is_refused(capsys, suite):
     # 64**4 points exceed the cap; it is refused before any array is allocated
@@ -323,10 +330,12 @@ def test_taxonomy_missing_param_names_group_and_key(capsys):
         ("S2.1.3", '{"E12": NaN, "lam11": 1}', "needs a finite number for 'E12'"),
         ("S2.1.2", '{"E12": 1, "sign": 1.5}', "needs the parameter 'sign' = +1 or -1"),
         ("S2.1.2", '{"E12": 1, "sign": -1.9}', "needs the parameter 'sign' = +1 or -1"),
+        ("S2.1.3", '{"E12": 1, "lam11": 1, "lam21": 5}', "has no parameter 'lam21'"),
     ],
 )
 def test_taxonomy_bad_param_names_group_and_key(capsys, group, params, message):
-    # a non-finite value, or a sign that is not exactly +1 or -1, is refused
+    # a non-finite value, a sign that is not exactly +1 or -1, or a key the group
+    # does not have is refused
     code = cli.main(["taxonomy", "--group", group, "--params", params])
     captured = capsys.readouterr()
     assert code == 2

@@ -128,7 +128,7 @@ def test_verify_triple_flat(t2_flat):
     E, _ = matrix_E(basis, basis)
     T = matrix_T(basis, basis)
     L = matrix_Lambda(basis)
-    chk = verify_triple(E, T, L, calculus.sign_D(1, 2, 0))
+    chk = verify_triple(E, T, L, calculus.sign_D(1, 2, 0), T)
     assert chk.max_residual() <= 1e-10
     assert chk.reality_residual <= 1e-10
     assert abs(chk.det_T - 1.0) < 1e-10  # group S2.1.3 with s = 0
@@ -136,7 +136,7 @@ def test_verify_triple_flat(t2_flat):
 
 def test_verify_triple_beta1_degenerate():
     # beta = 1 with odd D: a real T cannot satisfy the reality rule
-    chk = verify_triple([[1.0]], [[1.0]], [[1.0]], 1)
+    chk = verify_triple([[1.0]], [[1.0]], [[1.0]], 1, [[1.0]])
     assert chk.reality_residual > 1.0
 
 
@@ -144,12 +144,12 @@ def test_verify_triple_beta1_degenerate():
 def test_verify_triple_singularity_is_scale_free(scale):
     # det E = -scale^2 under- or overflows at the extremes; E / max|E| does not
     E = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
-    chk = verify_triple(E, np.eye(2), E, 0)
+    chk = verify_triple(E, np.eye(2), E, 0, np.eye(2))
     assert chk.tt_residual == 0.0
     with pytest.raises(np.linalg.LinAlgError, match="singular E matrix"):
-        verify_triple(scale * np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2), E, 0)
+        verify_triple(scale * np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2), E, 0, np.eye(2))
     with pytest.raises(np.linalg.LinAlgError, match="singular E matrix"):
-        verify_triple(np.zeros((2, 2)), np.eye(2), E, 0)
+        verify_triple(np.zeros((2, 2)), np.eye(2), E, 0, np.eye(2))
 
 
 def test_star_proportionality_corollary(t2_embedded):

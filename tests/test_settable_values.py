@@ -19,12 +19,10 @@ MODULES = ("calculus", "cli", "cohomology", "decompose", "em", "fields", "mesh",
 SETTABLE = [
     "calculus.green_solve(tol)",
     "cli.main(argv)",
-    "cohomology.verify_triple(T_p)",
     "fields.em_preset(charge_list)",
     "mesh.GridSpec.R",
     "mesh.GridSpec.metric",
     "mesh.GridSpec.r",
-    "taxonomy.solve_group(s)",
 ]
 
 

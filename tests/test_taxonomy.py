@@ -6,6 +6,7 @@ import pytest
 from formdec.taxonomy import (
     GROUPS,
     M_PARITY,
+    _RULES,
     InfeasibleGroupError,
     admissible_groups,
     family_T,
@@ -84,7 +85,7 @@ def test_odd_s_infeasible_groups():
 )
 def test_non_finite_parameters_are_refused(group, params, key):
     with pytest.raises(ValueError, match=f"group {group} needs a finite number for '{key}'"):
-        solve_group(group, params)
+        solve_group(group, params, s=0)
 
 
 @pytest.mark.parametrize(
@@ -99,9 +100,9 @@ def test_non_finite_parameters_are_refused(group, params, key):
 )
 def test_signs_must_be_plus_or_minus_one(group, params, key):
     with pytest.raises(InfeasibleGroupError, match=f"group {group} needs the parameter '{key}'"):
-        solve_group(group, params)
+        solve_group(group, params, s=0)
     for sign in (1, -1, 1.0, -1.0):
-        assert solve_group(group, {**params, key: sign}).constraints_residual <= 1e-12
+        assert solve_group(group, {**params, key: sign}, s=0).constraints_residual <= 1e-12
 
 
 def test_mixed_group_infeasible_parameters():
@@ -113,16 +114,56 @@ def test_mixed_group_infeasible_parameters():
 
 def test_degenerate_parameters_rejected():
     with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.1.1", {"E12": 0, "lam11": 1})
+        solve_group("S2.1.1", {"E12": 0, "lam11": 1}, s=0)
     with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.1.3", {"E12": 1, "lam11": 0})
+        solve_group("S2.1.3", {"E12": 1, "lam11": 0}, s=0)
     with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.2.1", {"E11": 1, "E22": 0})
+        solve_group("S2.2.1", {"E11": 1, "E22": 0}, s=0)
+
+
+def test_unknown_parameter_refused():
+    # a misspelled key is not read as its default: lam21 would leave lam12 at 0
+    with pytest.raises(ValueError) as exc:
+        solve_group("S2.1.3", {"E12": 1, "lam11": 1, "lam21": 5}, s=0)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (
+        "group S2.1.3 has no parameter 'lam21'; its parameters are ['E12', 'lam11', 'lam12']"
+    )
+
+
+@pytest.mark.parametrize("group", _RULES)
+def test_rules_row_is_the_parameter_spec(group):
+    kinds = _RULES[group][3]
+    params = random_params(group, 0, np.random.default_rng(3))
+    for key, kind in kinds.items():
+        left_out = {k: v for k, v in params.items() if k != key}
+        if kind == "nonzero":
+            with pytest.raises(ValueError, match=f"needs the parameter '{key}'") as exc:
+                solve_group(group, left_out, s=0)
+            assert type(exc.value) is ValueError
+            with pytest.raises(InfeasibleGroupError, match=f"{key} != 0"):
+                solve_group(group, {**params, key: 0}, s=0)
+        elif kind == "sign":
+            for sign in (0, 2):
+                with pytest.raises(InfeasibleGroupError, match=f"'{key}' = \\+1 or -1"):
+                    solve_group(group, {**params, key: sign}, s=0)
+            for sign in (1, -1, 1.0, -1.0):
+                assert solve_group(group, {**params, key: sign}, s=0).constraints_residual <= 1e-12
+        else:
+            assert kind == "real"
+            a = solve_group(group, left_out, s=0)
+            b = solve_group(group, {**params, key: 0}, s=0)
+            for M in ("E", "T", "Lambda"):
+                assert np.array_equal(getattr(a, M), getattr(b, M)), (key, M)
+    rng = np.random.default_rng(4)
+    for s in range(4):
+        if group in admissible_groups(M_PARITY[group], s):
+            assert list(random_params(group, s, rng)) == list(kinds)
 
 
 def test_unknown_group_refused():
     with pytest.raises(ValueError):
-        solve_group("S9.9.9", {})
+        solve_group("S9.9.9", {}, s=0)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -131,7 +172,7 @@ def test_random_draw_battery(group, s):
     m_parity = 1 if group == "S2.1.3" else 0
     if group not in admissible_groups(m_parity, s):
         pytest.skip("group not admissible for this s parity")
-    rng = np.random.default_rng(hash((group, s)) % 2**32)
+    rng = np.random.default_rng(10 * GROUPS.index(group) + s)
     dets = set()
     for _ in range(100):
         sol = solve_group(group, random_params(group, s, rng), s=s)
