@@ -32,6 +32,7 @@ import numpy as np
 from .mesh import DiscreteForm, merge_sign, wedge_integral
 
 DEFLATION_TOL = 1e-10
+GREEN_TOL = 1e-10  # largest relative residual a Green solve may leave
 
 # eighth-order central first-derivative coefficients for offsets 1..4
 _STENCIL = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
@@ -87,9 +88,12 @@ def partial(arr, axis, grid):
     periodically (GridSpec keeps N >= 4); one matmul applies the banded
     matrix of _stencil_band to the overlapping windows of e, of length b + 7
     at stride b.  An array constant along the axis has e = 0, so its partial
-    is exactly 0.  The result is a view into the one buffer that also held e.
+    is exactly 0, as along a length-1 axis.  The result is a view into the
+    one buffer that also held e.
     """
     N = arr.shape[axis]
+    if N == 1:
+        return np.zeros(arr.shape)
     band = _stencil_band(grid, N, grid.steps[axis])
     b = band.shape[1]
     x = arr.reshape(math.prod(arr.shape[:axis]), N, -1)
@@ -185,9 +189,10 @@ def _star(values, p, grid, scale=1.0, out=None):
     """scale * star of the stacked components of a p-form, or of their spectra.
 
     One multiply by the stacked coefficients of star, written to `out` (a
-    new array when None; `values` itself to work in place) and returned
-    reversed along the component axis: the complements of the sorted
-    degree-p tuples are the sorted degree-(n-p) tuples in reverse order.
+    new array of their broadcast shape when None; `values` itself to work in
+    place) and returned reversed along the component axis: the complements
+    of the sorted degree-p tuples are the sorted degree-(n-p) tuples in
+    reverse order.
     """
     coeffs = []
     for I in grid.components_of_degree(p):
@@ -196,8 +201,10 @@ def _star(values, p, grid, scale=1.0, out=None):
         for i in I:
             coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
         coeffs.append(coeff)
-    out = np.empty(values.shape, values.dtype)[::-1] if out is None else out
-    np.multiply(values, np.stack(coeffs) * scale, out=out)
+    coeffs = np.stack(coeffs) * scale
+    if out is None:
+        out = np.empty(np.broadcast_shapes(values.shape, coeffs.shape), values.dtype)[::-1]
+    np.multiply(values, coeffs, out=out)
     return out[::-1]
 
 
@@ -340,7 +347,7 @@ def potentials(phi):
     def isig_times(comp, a, _):
         return np.multiply(isig[a], comp, out=term)
 
-    phat = _rfftn(phi.values, grid)
+    phat = _rfftn(np.broadcast_to(phi.values, phi.full_shape), grid)
     beta_hat = _d(phat, p, grid, isig_times) if p < grid.dim else None
     # the first star of delta runs in place: phat is not used again
     alpha_hat = _delta(phat, p, grid, isig_times, out=phat) if p > 0 else None
@@ -420,7 +427,7 @@ def _green_solve_curved(source):
     return theta, proj, 2
 
 
-def green_solve(source, tol=1e-10):
+def green_solve(source):
     """Minimum-norm solve of (laplacian theta) = source with kernel deflation.
 
     The source is first projected off the operator's near-kernel
@@ -428,12 +435,13 @@ def green_solve(source, tol=1e-10):
     Flat grids divide by the Laplacian symbol; curved ones solve degrees 0
     and n by fast diagonalization (_green_solve_curved) and raise
     NotImplementedError for an indefinite signature or any other degree.
-    A relative residual above tol raises GreenSolveError.  An exactly zero
-    source returns zeros and runs no solve.  Each solver returns theta, the
-    projected source and its solve count; the one SolveReport is built here.
-    Returns (theta, SolveReport).
+    A relative residual above GREEN_TOL raises GreenSolveError.  An exactly
+    zero source returns zeros and runs no solve; a compact one is broadcast.
+    Each solver returns theta, the projected source and its solve count; the
+    one SolveReport is built here.  Returns (theta, SolveReport).
     """
     grid, p = source.grid, source.degree
+    source = DiscreteForm(grid, p, np.broadcast_to(source.values, source.full_shape))
     if grid.is_flat:
         solve, deflated = _green_solve_flat, _rfft_symbols(grid)[3] * len(source.values)
     else:
@@ -449,6 +457,6 @@ def green_solve(source, tol=1e-10):
         return grid.zeros(p), SolveReport(0, 0.0, deflated)
     theta, proj, solves = solve(source)
     res = _l2(laplacian(theta) - proj) / src_norm
-    if res > tol:
-        raise GreenSolveError(f"Green solve residual {res:.3e} > {tol:.3e}", res, tol)
+    if res > GREEN_TOL:
+        raise GreenSolveError(f"Green solve residual {res:.3e} > {GREEN_TOL:.3e}", res, GREEN_TOL)
     return theta, SolveReport(solves, res, deflated)

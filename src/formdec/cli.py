@@ -13,6 +13,7 @@ Wall-clock timings are only included behind --timings, which breaks that.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -363,6 +364,7 @@ def _int_at_least(low):
     return integer
 
 
+@functools.cache  # parse_args does not change the parser; built once per process
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="formdec",

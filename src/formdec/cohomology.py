@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calculus
-from .mesh import integrate_cycle_mean, linear_combination, wedge_integral
+from .mesh import DiscreteForm, _mean_along, integrate_cycle_mean, wedge_integral
 
 PAIR_TOL = 1e-8
 EXPANSION_TOL = 1e-6
@@ -84,6 +84,9 @@ class CohomologyBasis:
         """
         if form.degree != self.degree:
             raise ValueError("form degree must match the basis degree")
+        # averaged once over the axes along which every dual form is constant
+        dual_shape = np.broadcast_shapes(*(g.values.shape for g in self.dual.gammas))
+        form = DiscreteForm(form.grid, form.degree, _mean_along(form.values, dual_shape))
         W = np.array([wedge_integral(form, g) for g in self.dual.gammas])
         return np.linalg.solve(self.E.T, W)
 
@@ -105,35 +108,33 @@ def build_basis(grid, p):
 
 
 def _harmonic_basis(grid, p):
-    """Representative basis whose cycle integrals are the identity.
+    """Representative basis whose cycle integrals are the identity, in closed form.
 
-    Seeds are the constant coordinate forms dx^I / prod(periods), whose
-    cycle integrals are the identity.  On curved metrics each seed of
-    degree 1 <= p < n is harmonically projected once,
-    seed -> seed - d(G(delta seed)) with the direct Green solve at
-    tolerance 1e-11; d(G(...)) is exact and adds no cycle integral.  The
-    top-degree seed is replaced by grid.unit_form(), whose star is a
-    constant and whose integral is 1.  The coderivative of each projected
-    form is measured: the coefficients read off a dual basis are off by
-    about that residual times the coexact part of the form.
+    The forms are compact.  On flat metrics, and at degree 0, they are the
+    constant forms dx^I / prod(periods).  The embedded-torus metric depends
+    on v alone, so du / L_u is closed, and coclosed as its star is a
+    function of v times dv; the v form is g_vv / sqrt|g| dv over its
+    rectangle-rule cycle integral, closed as it does not depend on u, and
+    coclosed as its star is a constant times du.  The top form is
+    grid.unit_form().  On curved metrics the coderivative of each form is
+    measured: the coefficients read off a dual basis are off by about that
+    residual times the coexact part of the form.
     """
     cycles = grid.components_of_degree(p)
-    curved = p >= 1 and not grid.is_flat
-    gammas, delta_res = [], []
-    for z in cycles:
-        scale = 1.0 / math.prod(grid.spec.periods[a] for a in z)
-        gamma = grid.constant_form(p, {z: scale})
-        if curved:
-            if p == grid.dim:
-                gamma = grid.unit_form()
-            else:
-                alpha, _ = calculus.green_solve(calculus.delta(gamma), tol=1e-11)
-                gamma = gamma - calculus.d(alpha)
-            delta_res.append(calculus.delta(gamma).norm_inf() / max(gamma.norm_inf(), 1e-300))
-        gammas.append(gamma)
+    periods = grid.spec.periods
+    gammas = [grid.constant_form(p, {z: 1.0 / math.prod(periods[a] for a in z)}) for z in cycles]
+    delta_res = None
+    if p >= 1 and not grid.is_flat:
+        if p == grid.dim:
+            gammas = [grid.unit_form()]
+        else:
+            profile = grid.metric_diag[1] / grid.sqrt_abs_g
+            profile = profile / (float(np.sum(profile)) * grid.steps[1])
+            gammas[1] = DiscreteForm(grid, 1, np.stack([np.zeros_like(profile), profile]))
+        delta_res = max(calculus.delta(g).norm_inf() / max(g.norm_inf(), 1e-300) for g in gammas)
     cycle_matrix = np.array([[integrate_cycle_mean(g, z) for z in cycles] for g in gammas])
     norm_res = float(np.max(np.abs(cycle_matrix - np.eye(len(cycles)))))
-    return CohomologyBasis(p, len(cycles), gammas, cycles, norm_res, max(delta_res, default=None))
+    return CohomologyBasis(p, len(cycles), gammas, cycles, norm_res, delta_res)
 
 
 def matrix_E(basis_p, basis_q):
@@ -181,9 +182,8 @@ def matrix_T(basis_p, basis_dual):
     )
     worst = 0.0
     for a, sg in enumerate(stars):
-        recon = linear_combination(basis_dual.gammas, T[a])
-        scale = max(sg.norm_inf(), 1e-300)
-        worst = max(worst, (sg - recon).norm_inf() / scale)
+        recon = sum(t * g.values for t, g in zip(T[a], basis_dual.gammas))  # compact
+        worst = max(worst, float(np.max(np.abs(sg.values - recon))) / max(sg.norm_inf(), 1e-300))
     if worst > EXPANSION_TOL:
         raise StarExpansionError(
             f"star expansion residual {worst:.3e} exceeds {EXPANSION_TOL:.1e}: "

@@ -170,20 +170,19 @@ class PeriodicGrid:
         return DiscreteForm(self, degree, np.zeros((count,) + self.shape))
 
     def constant_form(self, degree, values):
-        """Form whose component I is the constant values[I] (missing keys are 0)."""
-        f = self.zeros(degree)
+        """Compact form whose component I is values[I], 0 if missing; other keys raise KeyError."""
+        column = dict.fromkeys(self.components_of_degree(degree), 0.0)
         for I, val in values.items():
-            f.components[tuple(I)] += val
-        return f
+            column[tuple(I)] += val
+        return DiscreteForm(self, degree, np.reshape([*column.values()], (-1,) + (1,) * self.dim))
 
     def volume_form(self):
         """Top form with component sqrt|g| (the Riemannian/pseudo volume Omega)."""
         return DiscreteForm(self, self.dim, self._full(self.sqrt_abs_g)[None])
 
     def unit_form(self):
-        """Top form normalized so its manifold integral is one."""
-        omega = self.volume_form()
-        return omega * (1.0 / self.volume())
+        """Compact top form sqrt|g| / volume, whose manifold integral is one."""
+        return DiscreteForm(self, self.dim, self.sqrt_abs_g[None] * (1.0 / self.volume()))
 
 
 def build_grid(spec: GridSpec) -> PeriodicGrid:
@@ -194,11 +193,12 @@ def build_grid(spec: GridSpec) -> PeriodicGrid:
 class DiscreteForm:
     """Degree-p antisymmetric component field sampled on the grid.
 
-    `values` stacks the C(n, p) component arrays into one float array of
-    shape (C(n, p),) + grid.shape, in the order of
-    grid.components_of_degree(p).  `components` maps each strictly
-    increasing index tuple to its row of `values`, a view: a write through
-    either one is seen by the other.
+    `values` stacks the C(n, p) component arrays into one float array in the
+    order of grid.components_of_degree(p), of full_shape (C(n, p),) +
+    grid.shape, or compact: read-only, of length 1 along grid axes where
+    every component is constant.  `components` maps each strictly increasing
+    index tuple to its row of `values`, a view: a write through either one
+    is seen by the other.
     """
 
     def __init__(self, grid, degree, values):
@@ -206,16 +206,22 @@ class DiscreteForm:
         self.degree = degree
         keys = grid.components_of_degree(degree)
         values = np.asarray(values)
-        shape = (len(keys),) + grid.shape
-        if values.shape != shape:
+        self.full_shape = (len(keys),) + grid.shape
+        fits = [m in (1, N) for m, N in zip(values.shape[1:], grid.shape)]
+        if values.shape[:1] != self.full_shape[:1] or values.ndim != grid.dim + 1 or not all(fits):
             raise ValueError(
-                f"degree-{degree} form needs values of shape {shape}, got {values.shape}"
+                f"degree-{degree} form needs values that broadcast to {self.full_shape}, "
+                f"got {values.shape}"
             )
         self.values = values.astype(float, copy=False)
+        if self.values.shape != self.full_shape:
+            self.values = self.values.view()
+            self.values.flags.writeable = False
         self.components = dict(zip(keys, self.values))
 
-    def copy(self):
-        return DiscreteForm(self.grid, self.degree, self.values.copy())
+    def copy(self):  # writable, of full shape
+        values = np.broadcast_to(self.values, self.full_shape).copy()
+        return DiscreteForm(self.grid, self.degree, values)
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -252,7 +258,7 @@ def linear_combination(forms, coeffs):
     term = np.empty(out.values.shape)
     for f, c in zip(forms, coeffs, strict=True):
         out._check_compatible(f)
-        out.values += np.multiply(f.values, c, out=term)
+        out.values += np.multiply(f.values, c, out=term if f.values.shape == term.shape else None)
     return out
 
 
@@ -283,7 +289,12 @@ def integrate_manifold(f: DiscreteForm) -> float:
     if f.degree != f.grid.dim:
         raise ValueError(f"manifold integration needs a degree-{f.grid.dim} form")
     top = tuple(range(f.grid.dim))
-    return float(np.sum(f.components[top])) * f.grid.cell_volume
+    return _grid_sum(f.components[top], f.grid) * f.grid.cell_volume
+
+
+def _grid_sum(arr, grid):
+    """Sum of arr broadcast to grid.shape: each entry stands for equally many points."""
+    return float(np.sum(arr)) * (math.prod(grid.shape) // arr.size)
 
 
 def wedge_integral(a: DiscreteForm, b: DiscreteForm) -> float:
@@ -291,7 +302,9 @@ def wedge_integral(a: DiscreteForm, b: DiscreteForm) -> float:
 
     Equal to integrate_manifold(wedge(a, b)) without building the wedge: each
     component a_I meets only the complementary component b_J, so this sums
-    merge_sign(I, J) * sum(a_I * b_J) over the components of a.
+    merge_sign(I, J) * sum(a_I * b_J) over the components of a.  Each
+    operand is first averaged over the axes along which the other is
+    compact, so no grid-sized product is formed against a compact form.
     """
     if a.grid is not b.grid:
         raise ValueError("wedge operands must share a grid")
@@ -301,8 +314,16 @@ def wedge_integral(a: DiscreteForm, b: DiscreteForm) -> float:
     total = 0.0
     for I, fa in a.components.items():
         J = tuple(k for k in range(n) if k not in I)
-        total += merge_sign(I, J) * float(np.sum(fa * b.components[J]))
+        fb = b.components[J]
+        product = _mean_along(fa, fb.shape) * _mean_along(fb, fa.shape)
+        total += merge_sign(I, J) * _grid_sum(product, a.grid)
     return total * a.grid.cell_volume
+
+
+def _mean_along(arr, other_shape):
+    """arr averaged over the axes where other_shape is 1 and arr is not."""
+    axes = tuple(i for i, (m, k) in enumerate(zip(arr.shape, other_shape)) if k == 1 < m)
+    return np.mean(arr, axis=axes, keepdims=True) if axes else arr
 
 
 def integrate_cycle_mean(f: DiscreteForm, axes) -> float:
@@ -322,6 +343,5 @@ def integrate_cycle_mean(f: DiscreteForm, axes) -> float:
     grid = f.grid
     comp = f.components[axes]
     step = math.prod(grid.steps[a] for a in axes)
-    others = [a for a in range(grid.dim) if a not in axes]
-    n_offsets = math.prod(grid.shape[a] for a in others) if others else 1
-    return float(np.sum(comp)) * step / n_offsets
+    n_offsets = math.prod(N for a, N in enumerate(grid.shape) if a not in axes)
+    return _grid_sum(comp, grid) * step / n_offsets

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from formdec import calculus, cli, cohomology
+from formdec.mesh import PeriodicGrid
 
 from test_stencil_properties import count_calls
 
@@ -217,8 +218,17 @@ def test_bad_subcommand_systemexit():
     assert exc.value.code == 2
 
 
-def test_numeric_failure_is_a_json_report(capsys):
-    # at 8 points the embedded torus basis cannot be made strong harmonic
+def fail_star_expansion(monkeypatch):
+    """Make every matrix_T raise as a basis the dual cannot span would."""
+
+    def fail(*args, **kwargs):
+        raise cohomology.StarExpansionError("not spanned", 1e-2, cohomology.EXPANSION_TOL)
+
+    monkeypatch.setattr(cohomology, "matrix_T", fail)
+
+
+def test_numeric_failure_is_a_json_report(capsys, monkeypatch):
+    fail_star_expansion(monkeypatch)
     code = cli.main(["torus2", "--mode", "embedded", "--grid", "8"])
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
@@ -229,8 +239,9 @@ def test_numeric_failure_is_a_json_report(capsys):
     assert failed[0]["residual"] > failed[0]["tolerance"] == 1e-6
 
 
-def test_cohomology_reports_the_basis_before_a_star_expansion_failure(capsys):
+def test_cohomology_reports_the_basis_before_a_star_expansion_failure(capsys, monkeypatch):
     # T is built on first read, after the basis checks are reported
+    fail_star_expansion(monkeypatch)
     argv = ["verify", "--suite", "cohomology", "--metric", "embedded-torus", "--grid", "8"]
     code, doc = run(capsys, argv)
     assert code == 1
@@ -519,3 +530,85 @@ def test_verify_reports_no_literal_zero(capsys, argv, name):
     code, doc = run(capsys, argv)
     assert code == 0
     assert name not in [c["name"] for c in doc["checks"]]
+
+
+def skew_first_basis_form(monkeypatch, eps, wave):
+    """gamma_0 -> (1 + eps) gamma_0 + eps gamma_1 + wave gamma_0(0) cos(x_0) dx^0.
+
+    Every flat basis form is a grid.constant_form; the one of the first
+    cycle is perturbed before its cycle integrals are taken.  The mix of
+    gamma_1 shears the cycle matrix, the scale moves det T, and the exact
+    wave, parallel to d(sin u), leaves a residue that the norm budget sees.
+    No rescaling of the basis undoes all three.
+    """
+    constant_form = PeriodicGrid.constant_form
+
+    def skewed(grid, degree, values):
+        keys = grid.components_of_degree(degree)
+        form = constant_form(grid, degree, values)
+        if list(values) != keys[:1] or len(keys) < 2:
+            return form
+        s = values[keys[0]]
+        mix = constant_form(grid, degree, {keys[0]: eps * s, keys[1]: eps * s})
+        exact = grid.zeros(degree)
+        exact.components[keys[0]][:] = wave * s * np.cos(grid.coords[keys[0][0]])
+        return form + mix + exact
+
+    monkeypatch.setattr(PeriodicGrid, "constant_form", skewed)
+
+
+# checks that read exactly 0.0 on these flat runs, where every sum is over
+# constants; a perturbed basis must fail each
+ZERO_CHECKS = [
+    (["torus2", "--mode", "flat", "--grid", "128"],
+     ["TT_identity", "ET_identity", "reality", "normalization"]),
+    (["verify", "--suite", "cohomology", "--grid", "32"],
+     ["identity_tt", "identity_et", "normalization"]),
+    (["decompose", "--preset", "mixed-t2", "--grid", "64"], ["cross_relation", "norm_budget"]),
+]
+
+
+@pytest.mark.parametrize("argv,names", ZERO_CHECKS, ids=lambda x: " ".join(x))
+def test_checks_at_zero_fail_on_a_perturbed_basis(capsys, monkeypatch, argv, names):
+    code, doc = run(capsys, argv)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert code == 0 and all(checks[name]["pass"] for name in names)
+    skew_first_basis_form(monkeypatch, eps=1e-7, wave=4e-7)
+    code, doc = run(capsys, argv)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert code == 1 and "star_expansion" not in checks
+    for name in names:
+        assert checks[name]["residual"] > 2 * checks[name]["tolerance"], name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus2", "--mode", "embedded", "--grid", "32"],
+        ["verify", "--suite", "cohomology", "--metric", "embedded-torus", "--grid", "32"],
+    ],
+    ids=" ".join,
+)
+def test_curved_basis_runs_no_green_solve(capsys, monkeypatch, argv):
+    calls = count_calls(monkeypatch, calculus, ("green_solve", "_curved_symbols"))
+    code, _ = run(capsys, argv)
+    assert code == 0 and calls == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus2", "--mode", "embedded", "--grid", "8"],
+        ["torus2", "--mode", "embedded", "--R", "1.01", "--r", "1", "--grid", "16"],
+    ],
+    ids=" ".join,
+)
+def test_small_and_thin_embedded_tori_pass(capsys, argv):
+    # the closed-form basis spans star(gamma) at any resolution
+    code, doc = run(capsys, argv)
+    assert code == 0
+    assert max(c["residual"] for c in doc["checks"]) <= 1e-14
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()

@@ -17,7 +17,7 @@ from formdec.cohomology import (
 )
 
 from test_decompose import embedded_grids_12, every_degree_basis
-from test_stencil_properties import FAST, count_calls, flat_grids
+from test_stencil_properties import EPS, FAST, count_calls, embedded_grids, flat_grids
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,3 +233,46 @@ def test_second_verify_pair_builds_no_T(monkeypatch, dim, p):
     again, _ = verify_pair(basis)
     assert calls == {}
     assert again["T"] is first["T"] is basis.T and again["T_p"] is basis.dual.T
+
+
+@FAST
+@given(grid=embedded_grids())
+def test_embedded_basis_is_harmonic_to_rounding(grid):
+    # the closed-form basis at every resolution down to 4 points per axis
+    basis = build_basis(grid, 1)
+    h_v, min_sqrt_g = grid.steps[1], float(np.min(grid.sqrt_abs_g))
+    for g in basis.gammas:
+        assert calculus.d(g).norm_inf() == 0.0
+        # delta g is the v-partial of (star g)_u, a constant up to the rounding
+        # of star, over sqrt|g|
+        sg = calculus.star(g)
+        assert calculus.delta(g).norm_inf() <= 16 * EPS * sg.norm_inf() / (h_v * min_sqrt_g)
+    cycles = np.array([[integrate_cycle_mean(g, z) for z in basis.cycles] for g in basis.gammas])
+    assert float(np.max(np.abs(cycles - np.eye(2)))) <= grid.shape[1] * EPS
+    assert basis.normalization_residual <= grid.shape[1] * EPS
+    T = matrix_T(basis, basis)
+    for a, g in enumerate(basis.gammas):
+        sg = calculus.star(g)
+        recon = sum(t * b.values for t, b in zip(T[a], basis.gammas))
+        assert float(np.max(np.abs(sg.values - recon))) <= 16 * EPS * sg.norm_inf()
+
+
+EMBEDDED = build_grid(
+    GridSpec(2, (16, 12), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=1.5, r=1.0)
+)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [EMBEDDED] + [build_grid(GridSpec(n, (8,) * n, (TWO_PI,) * n, (1,) * n)) for n in (1, 2, 3)],
+    ids=["embedded", "flat-1", "flat-2", "flat-3"],
+)
+def test_build_basis_solves_nothing_and_stores_compact_forms(monkeypatch, grid):
+    calls = count_calls(monkeypatch, calculus, ("green_solve", "potentials", "_curved_symbols"))
+    # flat: (C, 1, ..., 1); embedded: length 1 along u, and 1 or N_v along v
+    shapes = {(1,) * grid.dim} if grid.is_flat else {(1, 1), (1, grid.shape[1])}
+    for basis in every_degree_basis(grid):
+        assert {g.values.shape[1:] for g in basis.gammas} <= shapes
+        verify_pair(basis)
+    assert calls == {}
+    assert "curved" not in grid._symbol_cache

@@ -275,9 +275,9 @@ def test_coefficients_recover_harmonic_part_flat(grid, seed):
     check_coefficients(grid, seed)
 
 
-# Both examples missed 1e-10 (9.2e-10 and 1.7e-10 at p = 1) while build_basis
-# stopped projecting at a coderivative of 1e-8 relative: the coexact part
-# leaks into the coefficients in proportion to that residual.
+# Both examples missed 1e-10 (9.2e-10 and 1.7e-10 at p = 1) when build_basis
+# projected the basis only to a coderivative of 1e-8 relative: the coexact
+# part leaks into the coefficients in proportion to that residual.
 @FAST
 @given(grid=embedded_grids_12(), seed=st.integers(0, 2**32 - 1))
 @example(grid=embedded((12, 16), 0.10625, 0.1), seed=0)

@@ -161,7 +161,8 @@ def test_components_are_rows_of_values(grid, seed):
 
 def test_norm_inf_propagates_nan(t2_flat):
     # a NaN outside the first component must not read as a finite norm
-    f = t2_flat.constant_form(1, {(0,): 2.0})
+    f = t2_flat.zeros(1)
+    f.components[(0,)][:] = 2.0
     f.components[(1,)][3, 5] = np.nan
     assert math.isnan(f.norm_inf())
 

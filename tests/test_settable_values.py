@@ -17,7 +17,6 @@ from formdec import cli
 MODULES = ("calculus", "cli", "cohomology", "decompose", "em", "fields", "mesh", "taxonomy")
 
 SETTABLE = [
-    "calculus.green_solve(tol)",
     "cli.main(argv)",
     "fields.em_preset(charge_list)",
     "mesh.GridSpec.R",

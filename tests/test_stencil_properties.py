@@ -321,7 +321,15 @@ def test_operators_leave_their_input_unchanged(grid, seed):
         ops += [calculus.delta] if p > 0 else []
         ops += [calculus.potentials] if grid.is_flat else []
         if grid.is_flat or p in (0, n):
-            ops.append(lambda f: calculus.green_solve(f, tol=math.inf))
+            ops.append(solve_past_its_residual)
         for op in ops:
             op(f)
             assert f.values.tobytes() == before, op
+
+
+def solve_past_its_residual(f):
+    # a random sample can miss the Green tolerance; the input must stay unchanged anyway
+    try:
+        calculus.green_solve(f)
+    except calculus.GreenSolveError:
+        pass
