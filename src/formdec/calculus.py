@@ -307,17 +307,18 @@ def _rfftn(values, grid):
     return np.fft.rfftn(values, axes=range(1, grid.dim + 1))
 
 
-def _irfftn(spectra, grid):
-    return np.fft.irfftn(spectra, s=grid.shape, axes=range(1, grid.dim + 1))
+def _irfftn(spectra, shape):
+    return np.fft.irfftn(spectra, s=shape, axes=range(1, len(shape) + 1))
 
 
-def _green_form(grid, degree, spectra, green):
+def _green_form(grid, degree, spectra, green, shape):
     """G(source) as a form, from the stacked rfftn spectra of the source.
 
-    The spectra are multiplied by G in place, then inverted in one irfftn.
+    The spectra are multiplied by G in place, then inverted to the grid-axis
+    shape `shape` in one irfftn.
     """
     spectra *= green
-    return DiscreteForm(grid, degree, _irfftn(spectra, grid))
+    return DiscreteForm(grid, degree, _irfftn(spectra, shape))
 
 
 def potentials(phi):
@@ -329,7 +330,9 @@ def potentials(phi):
     replaced by its symbol i sigma_a, and G multiplies by the masked
     inverse of the Laplacian symbol.  One rfftn of the stacked components
     of phi, one irfftn each of the stacked components of alpha and beta.
-    On the curved embedded torus they are green_solve of the 0-form
+    phi is transformed as stored: along a length-1 axis only the mode
+    k = 0 is present, where sigma_a = 0, so alpha and beta keep phi's
+    shape.  On the curved embedded torus they are green_solve of the 0-form
     delta phi and of the top form d phi of a 1-form; other degrees and an
     indefinite signature raise NotImplementedError before any stencil runs.
     alpha is None when p = 0 and beta when p = n.
@@ -341,19 +344,23 @@ def potentials(phi):
         if p != 1:
             raise NotImplementedError(f"curved potentials need a 1-form, got degree {p}")
         return green_solve(delta(phi))[0], green_solve(d(phi))[0]
+    shape = phi.values.shape[1:]
+    # the symbols at k = 0 along phi's length-1 axes, all of them along the others
+    modes = tuple(slice(None) if m > 1 else slice(0, 1) for m in shape)
     isig, _, green, _ = _rfft_symbols(grid)
+    isig, green = [s[modes] for s in isig], green[modes]
     term = np.empty(green.shape, complex)
 
     def isig_times(comp, a, _):
         return np.multiply(isig[a], comp, out=term)
 
-    phat = _rfftn(np.broadcast_to(phi.values, phi.full_shape), grid)
+    phat = _rfftn(phi.values, grid)
     beta_hat = _d(phat, p, grid, isig_times) if p < grid.dim else None
     # the first star of delta runs in place: phat is not used again
     alpha_hat = _delta(phat, p, grid, isig_times, out=phat) if p > 0 else None
     del phat
-    alpha = _green_form(grid, p - 1, alpha_hat, green) if p > 0 else None
-    beta = _green_form(grid, p + 1, beta_hat, green) if p < grid.dim else None
+    alpha = _green_form(grid, p - 1, alpha_hat, green, shape) if p > 0 else None
+    beta = _green_form(grid, p + 1, beta_hat, green, shape) if p < grid.dim else None
     return alpha, beta
 
 
@@ -361,8 +368,8 @@ def _green_solve_flat(source):
     grid = source.grid
     _, mask, green, _ = _rfft_symbols(grid)
     spectra = _rfftn(source.values, grid)
-    proj = DiscreteForm(grid, source.degree, _irfftn(np.where(mask, 0.0, spectra), grid))
-    theta = _green_form(grid, source.degree, spectra, green)
+    proj = DiscreteForm(grid, source.degree, _irfftn(np.where(mask, 0.0, spectra), grid.shape))
+    theta = _green_form(grid, source.degree, spectra, green, grid.shape)
     return theta, proj, 1
 
 

@@ -28,7 +28,9 @@ MINKOWSKI = (-1, 1, 1, 1)
 
 NOT_INPUTS = ("command", "func", "json_out", "timings")
 
-MAX_POINTS = 2**22  # a dim-4 run holds about 650 bytes per point
+# a dim-4 run on random fields (verify --suite decompose) traces about 540
+# bytes per point; the em presets, stored with length-1 axes, about 15
+MAX_POINTS = 2**22
 
 
 class Report:

@@ -33,11 +33,10 @@ def random_trig_form(grid, degree, rng):
 
 
 def mixed_t2(grid, basis):
-    """d(sin u) + 3 gamma_1 + 4 gamma_2 on a 2-torus; u = (3, 4) by design."""
+    """d(sin u) + 3 gamma_1 + 4 gamma_2 on a 2-torus, compact along v; u = (3, 4) by design."""
     if grid.dim != 2:
         raise ValueError("mixed-t2 preset needs a 2-torus")
-    sin_u = np.broadcast_to(np.sin(grid.coords[0]), (1,) + grid.shape)
-    scalar = DiscreteForm(grid, 0, sin_u.copy())
+    scalar = DiscreteForm(grid, 0, np.sin(grid.coords[0])[None])
     return linear_combination([calculus.d(scalar)] + basis.gammas, [1.0, 3.0, 4.0])
 
 
@@ -50,10 +49,10 @@ def exact_t2(grid):
 
 
 def em_gauge_potential(grid):
-    """A smooth gauge-fixed 1-form A0 = sin(x1) dx2 on the 4-torus."""
-    A = grid.zeros(1)
-    A.components[(2,)][:] = np.sin(grid.coords[1])
-    return A
+    """A smooth gauge-fixed 1-form A0 = sin(x1) dx2 on the 4-torus, compact along x0, x2, x3."""
+    values = np.zeros((grid.dim,) + grid.coords[1].shape)
+    values[2] = np.sin(grid.coords[1])
+    return DiscreteForm(grid, 1, values)
 
 
 def em_preset(name, grid, basis2, charge_list=None):

@@ -249,17 +249,19 @@ class DiscreteForm:
 
 
 def linear_combination(forms, coeffs):
-    """sum_i coeffs[i] * forms[i], accumulated in place into one zeroed form.
+    """sum_i coeffs[i] * forms[i], accumulated in place into one zeroed array.
 
-    The terms are added in the given order: the result is bit-equal to
-    adding them one at a time to grid.zeros(degree).
+    The array takes the broadcast shape of the terms, so compact terms give
+    a compact form.  The terms are added in the given order: each entry is
+    bit-equal to adding them one at a time to grid.zeros(degree).
     """
-    out = forms[0].grid.zeros(forms[0].degree)
-    term = np.empty(out.values.shape)
+    for f in forms:
+        forms[0]._check_compatible(f)
+    out = np.zeros(np.broadcast_shapes(*(f.values.shape for f in forms)))
+    term = np.empty(out.shape)
     for f, c in zip(forms, coeffs, strict=True):
-        out._check_compatible(f)
-        out.values += np.multiply(f.values, c, out=term if f.values.shape == term.shape else None)
-    return out
+        out += np.multiply(f.values, c, out=term if f.values.shape == term.shape else None)
+    return DiscreteForm(forms[0].grid, forms[0].degree, out)
 
 
 def wedge(a: DiscreteForm, b: DiscreteForm) -> DiscreteForm:

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from formdec import calculus, cli, cohomology
+from formdec import calculus, cli, cohomology, fields
 from formdec.mesh import PeriodicGrid
 
+from test_readme import readme_commands
 from test_stencil_properties import count_calls
 
 
@@ -557,14 +558,16 @@ def skew_first_basis_form(monkeypatch, eps, wave):
     monkeypatch.setattr(PeriodicGrid, "constant_form", skewed)
 
 
-# checks that read exactly 0.0 on these flat runs, where every sum is over
-# constants; a perturbed basis must fail each
+# checks that read 0.0, or one rounding of a sum (norm_budget of mixed-t2:
+# 1.6e-16), on these flat runs, where every sum is over constants or over
+# the one axis the compact preset varies on; a perturbed basis must fail each
 ZERO_CHECKS = [
     (["torus2", "--mode", "flat", "--grid", "128"],
      ["TT_identity", "ET_identity", "reality", "normalization"]),
     (["verify", "--suite", "cohomology", "--grid", "32"],
      ["identity_tt", "identity_et", "normalization"]),
-    (["decompose", "--preset", "mixed-t2", "--grid", "64"], ["cross_relation", "norm_budget"]),
+    (["decompose", "--preset", "mixed-t2", "--grid", "64"],
+     ["cross_relation", "norm_budget", "topological_term_25"]),
 ]
 
 
@@ -579,6 +582,38 @@ def test_checks_at_zero_fail_on_a_perturbed_basis(capsys, monkeypatch, argv, nam
     assert code == 1 and "star_expansion" not in checks
     for name in names:
         assert checks[name]["residual"] > 2 * checks[name]["tolerance"], name
+
+
+def test_presets_are_compact(t2_flat, t4_mink):
+    basis2 = cohomology.build_basis(t4_mink, 2)
+    N = t4_mink.shape[1]
+    shapes = {"topological": (6, 1, 1, 1, 1), "exact": (6, 1, N, 1, 1), "mixed": (6, 1, N, 1, 1)}
+    presets = [fields.em_preset(name, t4_mink, basis2) for name in shapes]
+    assert [F.values.shape for F in presets] == list(shapes.values())
+    phi = fields.mixed_t2(t2_flat, cohomology.build_basis(t2_flat, 1))
+    assert phi.values.shape == (2, t2_flat.shape[0], 1)
+    for form in presets + [phi]:
+        with pytest.raises(ValueError, match="read-only"):
+            form.values[0, ...] = 0.0
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in readme_commands() if "--preset" in argv], ids=" ".join
+)
+def test_readme_presets_take_partials_along_one_axis(capsys, monkeypatch, argv):
+    # each preset varies along one axis at most, and so does every array
+    # that d and delta differentiate
+    sizes = []
+    partial = calculus.partial
+
+    def recorded(arr, axis, grid):
+        sizes.append((arr.size, max(grid.shape)))
+        return partial(arr, axis, grid)
+
+    monkeypatch.setattr(calculus, "partial", recorded)
+    code, _ = run(capsys, argv)
+    assert code == 0 and sizes
+    assert all(size <= longest_axis for size, longest_axis in sizes)
 
 
 @pytest.mark.parametrize(

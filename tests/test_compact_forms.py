@@ -3,18 +3,21 @@
 A form whose components are constant along some grid axes may store them
 with length 1 there.  Every operator must give such a form the result it
 gives the same values broadcast to the full grid, within a rounding bound:
-the stencil matmul and the reductions may add in another order.  A compact
-form is read-only.
+the stencil matmul and the reductions may add in another order, and the
+flat potentials transform only the modes the compact form has.  On flat
+grids the potentials and every term of the decomposition keep the compact
+shape.  A compact form is read-only.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from formdec import calculus
+from formdec.decompose import hodge_decompose
 from formdec.mesh import (
     DiscreteForm,
     integrate_cycle_mean,
@@ -22,21 +25,30 @@ from formdec.mesh import (
     wedge_integral,
 )
 
-from test_stencil_properties import EPS, FAST, any_grids, random_form, sample
+from test_decompose import every_degree_basis
+from test_stencil_properties import (
+    EPS,
+    FAST,
+    any_grids,
+    identical,
+    light_cone_condition,
+    random_form,
+    sample,
+)
 
 
 def full_copy(f):
     return DiscreteForm(f.grid, f.degree, np.broadcast_to(f.values, f.full_shape).copy())
 
 
-def assert_same_form(got, ref):
-    """got, broadcast, equals ref within 64 eps of ref's largest entry."""
+def assert_same_form(got, ref, scale=0.0):
+    """got, broadcast, equals ref within 64 eps of ref's largest entry or of scale."""
     assert (got is None) == (ref is None)
     if ref is None:
         return
     assert got.degree == ref.degree and ref.values.shape == ref.full_shape
     diff = np.abs(np.broadcast_to(got.values, ref.full_shape) - ref.values)
-    assert float(np.max(diff)) <= 64 * EPS * ref.norm_inf()
+    assert float(np.max(diff)) <= 64 * EPS * max(ref.norm_inf(), scale)
 
 
 def abs_wedge(a, b):
@@ -53,15 +65,21 @@ def assert_same_number(got, ref, scale):
 
 
 @st.composite
+def compact_shapes(draw, grid):
+    """Each axis keeps its length or is cut to 1 at random."""
+    return tuple(N if draw(st.booleans()) else 1 for N in grid.shape)
+
+
+@st.composite
 def compact_forms(draw):
     """A grid, a degree and a compact form of that degree on it.
 
-    Each axis keeps its length or is cut to 1 at random, so flat and
-    embedded grids both get forms that are constant along any set of axes.
+    Flat and embedded grids both get forms that are constant along any set
+    of axes.
     """
     grid = draw(any_grids())
     p = draw(st.integers(0, grid.dim))
-    shape = tuple(N if draw(st.booleans()) else 1 for N in grid.shape)
+    shape = draw(compact_shapes(grid))
     seed = draw(st.integers(0, 2**32 - 1))
     values = sample((math.comb(grid.dim, p),) + shape, seed)
     return DiscreteForm(grid, p, values), seed
@@ -84,9 +102,6 @@ def test_compact_and_full_forms_agree(drawn):
         assert_same_form(calculus.d(c), calculus.d(f))
     if p > 0:
         assert_same_form(calculus.delta(c), calculus.delta(f))
-    if grid.is_flat or p == 1:
-        for got, ref in zip(calculus.potentials(c), calculus.potentials(f)):
-            assert_same_form(got, ref)
     # compact + compact stays compact, and equals the full sum
     assert_same_form(c + c * 0.5, f + f * 0.5)
 
@@ -110,6 +125,43 @@ def test_compact_and_full_forms_agree(drawn):
             grid.spec.periods[a] for a in axes
         )
         assert_same_number(integrate_cycle_mean(c, axes), integrate_cycle_mean(f, axes), scale)
+
+
+# Where a compact form has no mode, the full copy's potentials are rounding
+# alone, so the bound also scales with phi.  The terms are up to the
+# light-cone condition larger than phi (see test_flat_projection), and
+# alpha and beta carry one more length than phi.
+@FAST
+@given(drawn=compact_forms())
+def test_compact_potentials_and_decomposition_agree(drawn):
+    c, _ = drawn
+    f = full_copy(c)
+    grid, p = c.grid, c.degree
+    assume(grid.is_flat or p == 1)
+    scale = light_cone_condition(grid) * f.norm_inf() * max(1.0, *grid.spec.periods)
+    basis = every_degree_basis(grid)[p]
+    got, ref = hodge_decompose(c, basis), hodge_decompose(f, basis)
+    # alpha and beta are calculus.potentials of phi
+    for name in ("alpha", "beta", "exact", "coexact", "residue"):
+        term = getattr(got, name)
+        assert_same_form(term, getattr(ref, name), scale)
+        # curved potentials are Green solves of the full grid
+        if grid.is_flat and term is not None:
+            assert term.values.shape[1:] == c.values.shape[1:], name
+
+
+@FAST
+@given(drawn=compact_forms(), data=st.data())
+def test_linear_combination_of_compact_terms_is_compact(drawn, data):
+    c, seed = drawn
+    grid = c.grid
+    shape = c.values.shape[:1] + data.draw(compact_shapes(grid))
+    other = DiscreteForm(grid, c.degree, sample(shape, seed + 3))
+    forms, coeffs = [c, other, c], [0.3, -1.2, 2.5]
+    got = linear_combination(forms, coeffs)
+    ref = linear_combination([full_copy(x) for x in forms], coeffs)
+    assert got.values.shape == np.broadcast_shapes(c.values.shape, other.values.shape)
+    assert identical(np.broadcast_to(got.values, got.full_shape), ref.values)
 
 
 @FAST

@@ -261,8 +261,8 @@ def test_stacked_ffts_match_per_component(grid, seed):
     for p in range(grid.dim + 1):
         values = random_form(grid, p, seed).values
         spectra = calculus._rfftn(values, grid)
-        back = calculus._irfftn(spectra, grid)
-        assert same_bits(calculus._irfftn(spectra[::-1], grid)[::-1], back)
+        back = calculus._irfftn(spectra, grid.shape)
+        assert same_bits(calculus._irfftn(spectra[::-1], grid.shape)[::-1], back)
         full = np.fft.fftn(values, axes=axes)
         full_back = np.fft.ifftn(full, axes=axes)
         for k, comp in enumerate(values):
