@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DiscreteForm, merge_sign, wedge_integral
+from .mesh import DiscreteForm, _complement_signs, merge_sign, wedge_integral
 
 DEFLATION_TOL = 1e-10
 GREEN_TOL = 1e-10  # largest relative residual a Green solve may leave
@@ -123,6 +123,15 @@ def partial(arr, axis, grid):
     return out
 
 
+def _read_only(value):
+    """value, an array or a tuple nesting arrays, with each array made read-only for the cache."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    for v in value if isinstance(value, tuple) else ():
+        _read_only(v)
+    return value
+
+
 def _stencil_band(grid, N, h):
     """The (b + 7) x b band matrix of partial, b = gcd(N, 16), cached on the grid.
 
@@ -137,7 +146,7 @@ def _stencil_band(grid, N, h):
         band = np.zeros((b + 7, b))
         for c in range(b):
             band[c : c + 8, c] = w
-        cache[key] = band
+        cache[key] = _read_only(band)
     return cache[key]
 
 
@@ -188,20 +197,23 @@ def _d(values, p, grid, deriv):
 def _star(values, p, grid, scale=1.0, out=None):
     """scale * star of the stacked components of a p-form, or of their spectra.
 
-    One multiply by the stacked coefficients of star, written to `out` (a
-    new array of their broadcast shape when None; `values` itself to work in
-    place) and returned reversed along the component axis: the complements
-    of the sorted degree-p tuples are the sorted degree-(n-p) tuples in
-    reverse order.
+    One multiply by the stacked coefficients of star, built once per degree
+    and cached on the grid (scale multiplies them after the lookup), written
+    to `out` (a new array of their broadcast shape when None; `values`
+    itself to work in place) and returned reversed along the component
+    axis: the complements of the sorted degree-p tuples are the sorted
+    degree-(n-p) tuples in reverse order.
     """
-    coeffs = []
-    for I in grid.components_of_degree(p):
-        Ic = tuple(a for a in range(grid.dim) if a not in I)
-        coeff = merge_sign(I, Ic) * grid.sqrt_abs_g
-        for i in I:
-            coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
-        coeffs.append(coeff)
-    coeffs = np.stack(coeffs) * scale
+    key = ("star", p)
+    if key not in grid._symbol_cache:
+        coeffs = []
+        for I, sign in zip(grid.components_of_degree(p), _complement_signs(grid.dim, p)):
+            coeff = sign * grid.sqrt_abs_g
+            for i in I:
+                coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
+            coeffs.append(coeff)
+        grid._symbol_cache[key] = _read_only(np.stack(coeffs))
+    coeffs = grid._symbol_cache[key] * scale
     if out is None:
         out = np.empty(np.broadcast_shapes(values.shape, coeffs.shape), values.dtype)[::-1]
     np.multiply(values, coeffs, out=out)
@@ -253,7 +265,7 @@ def _axis_symbols(grid):
             sigmas.append(
                 2.0 * sum(c * np.sin(j * kh) for j, c in enumerate(_STENCIL, start=1)) / h
             )
-        cache["sigma"] = tuple(sigmas)
+        cache["sigma"] = _read_only(tuple(sigmas))
     return cache["sigma"]
 
 
@@ -296,10 +308,10 @@ def _rfft_symbols(grid):
     if "rfft" not in cache:
         sigmas = list(_axis_symbols(grid))
         sigmas[-1] = sigmas[-1][: grid.shape[-1] // 2 + 1]
-        isig = [
+        isig = tuple(
             1j * sig.reshape(_axis_shape(grid.dim, a, len(sig))) for a, sig in enumerate(sigmas)
-        ]
-        cache["rfft"] = (isig,) + _masked_inverse(_symbol_sum(grid, sigmas), -1)
+        )
+        cache["rfft"] = _read_only((isig,) + _masked_inverse(_symbol_sum(grid, sigmas), -1))
     return cache["rfft"]
 
 
@@ -401,7 +413,7 @@ def _curved_symbols(grid):
         sigma_u = _axis_symbols(grid)[0][: grid.shape[0] // 2 + 1]
         _, green, deflated = _masked_inverse((sigma_u * sigma_u)[:, None] + lam, 0)
         weight = float(np.sum(grid._full(grid.sqrt_abs_g)))
-        cache["curved"] = (V, green, deflated, weight)
+        cache["curved"] = _read_only((V, green, deflated, weight))
     return cache["curved"]
 
 

@@ -142,21 +142,21 @@ def _verify_core(args, report):
     grid = _grid(args, args.dim, args.metric)
     rng = np.random.default_rng(args.seed)
 
-    def form(p):
-        return fields.random_trig_form(grid, p, rng)
+    def form(p, draw_only=False):
+        return (fields.random_modes if draw_only else fields.random_trig_form)(grid, p, rng)
 
     def rel(residual, f):
         return residual.norm_inf() / max(f.norm_inf(), 1e-300)
 
     # On a flat metric star only permutes and sign-flips components and both
     # pairings sum the same products, so these two checks would read 0.  Their
-    # forms are drawn anyway, so a seed gives the later checks the same forms.
+    # waves are drawn anyway, so a seed gives the later checks the same forms.
     for p in range(grid.dim + 1):
-        f = form(p)
+        f = form(p, grid.is_flat)
         if not grid.is_flat:
             sgn = -1.0 if calculus.sign_D(p, grid.dim, grid.neg_count) else 1.0
             report.check(f"star_star_degree_{p}", rel(calculus.star(calculus.star(f)) - f * sgn, f), 1e-12)
-    a, b = form(1), form(1)
+    a, b = form(1, grid.is_flat), form(1, grid.is_flat)
     if not grid.is_flat:
         report.check("pairing_symmetry", abs(calculus.pairing(a, b) - calculus.pairing(b, a)), 1e-10)
     f0, ftop = form(0), form(grid.dim)
@@ -250,15 +250,11 @@ def cmd_taxonomy(args, report):
         params = json.loads(args.params)
         if not isinstance(params, dict):
             raise ValueError(f"--params must be a JSON object, got {args.params}")
-        draws = [taxonomy.solve_group(args.group, params, s=args.s)]
+        params = [params]
     else:
         rng = np.random.default_rng(args.seed)
-        draws = [
-            taxonomy.solve_group(
-                args.group, taxonomy.random_params(args.group, args.s, rng), s=args.s
-            )
-            for _ in range(args.draws)
-        ]
+        params = [taxonomy.random_params(args.group, args.s, rng) for _ in range(args.draws)]
+    draws = taxonomy.solve_draws(args.group, params, args.s)
     worst = max(sol.constraints_residual for sol in draws)
     report.check("identity_residuals", worst, 1e-12)
     report.value("det_T_values", sorted({round(sol.det_T, 9) for sol in draws}))

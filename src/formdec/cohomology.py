@@ -207,7 +207,7 @@ def matrix_Lambda(basis):
 
 @dataclass
 class CheckReport:
-    """Max-abs residuals of the matrix identities, plus the reality check."""
+    """Max-abs residuals of the matrix identities, plus the reality check (arrays for a stack)."""
 
     tt_residual: float
     et_residual: float
@@ -216,7 +216,7 @@ class CheckReport:
     det_T: float
 
     def max_residual(self):
-        return max(self.tt_residual, self.et_residual, self.lel_residual)
+        return np.maximum(np.maximum(self.tt_residual, self.et_residual), self.lel_residual)
 
 
 def verify_triple(E, T, Lam, D_parity, T_p):
@@ -228,25 +228,23 @@ def verify_triple(E, T, Lam, D_parity, T_p):
       reality: |det T|^2 - (-1)^{beta D}
 
     At the middle degree a single T maps the basis to itself: pass T_p = T.
-    For a complementary pair, T is T^{(n-p)} and T_p is T^{(p)}.
+    For a complementary pair, T is T^{(n-p)} and T_p is T^{(p)}.  Stacks
+    (..., beta, beta) of triples are checked at once, each residual reduced
+    over the last two axes; a singular E anywhere in the stack raises.
     """
-    E = np.asarray(E, dtype=float)
-    T = np.asarray(T, dtype=float)
-    T_p = np.asarray(T_p, dtype=float)
-    Lam = np.asarray(Lam, dtype=float)
-    beta = E.shape[0]
+    E, T, T_p, Lam = (np.asarray(M, dtype=float) for M in (E, T, T_p, Lam))
+    beta = E.shape[-1]
     sgn = -1.0 if D_parity % 2 else 1.0
-    eye = np.eye(beta)
-    tt = float(np.max(np.abs(T @ T_p - sgn * eye)))
-    et = float(np.max(np.abs(E @ T.T - Lam)))
+    tt = np.max(np.abs(T @ T_p - sgn * np.eye(beta)), axis=(-2, -1))
+    et = np.max(np.abs(E @ np.swapaxes(T, -1, -2) - Lam), axis=(-2, -1))
     # scale-free: det(E / max|E|) = det(E) / max|E|^beta
-    scale = float(np.max(np.abs(E)))
-    if scale == 0.0 or abs(np.linalg.det(E / scale)) < 1e-300:
+    scale = np.max(np.abs(E), axis=(-2, -1), keepdims=True)
+    if np.any(scale == 0.0) or np.any(np.abs(np.linalg.det(E / scale)) < 1e-300):
         raise np.linalg.LinAlgError("singular E matrix")
-    lel = float(np.max(np.abs(Lam @ np.linalg.inv(E) @ Lam - sgn * E)))
-    det_T = float(np.linalg.det(T))
-    reality = abs(det_T**2 - (-1.0) ** ((beta * D_parity) % 2))
-    return CheckReport(tt, et, lel, reality, det_T)
+    lel = np.max(np.abs(Lam @ np.linalg.inv(E) @ Lam - sgn * E), axis=(-2, -1))
+    det_T = np.linalg.det(T)
+    reality = np.abs(det_T**2 - (-1.0) ** ((beta * D_parity) % 2))
+    return CheckReport(*(float(x) if E.ndim == 2 else x for x in (tt, et, lel, reality, det_T)))
 
 
 def verify_pair(basis):

@@ -20,16 +20,22 @@ def random_trig_form(grid, degree, rng):
     are exact for the spectral-accuracy arguments used in the checks.
     """
     f = grid.zeros(degree)
-    for comp in f.values:
-        for _ in range(NMODES):
-            k = rng.integers(-KMAX, KMAX + 1, size=grid.dim)
-            amp = float(rng.uniform(-1.0, 1.0))
-            phase = float(rng.uniform(0.0, 2.0 * np.pi))
+    for comp, waves in zip(f.values, random_modes(grid, degree, rng)):
+        for k, amp, phase in waves:
             arg = phase
             for a in range(grid.dim):
                 arg = arg + (2.0 * np.pi * k[a] / grid.spec.periods[a]) * grid.coords[a]
             comp += amp * np.cos(arg)
     return f
+
+
+def random_modes(grid, degree, rng):
+    """The waves (k, amp, phase) that random_trig_form draws from rng, per component."""
+    def wave():
+        k = rng.integers(-KMAX, KMAX + 1, size=grid.dim)
+        return k, float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2.0 * np.pi))
+
+    return [[wave() for _ in range(NMODES)] for _ in grid.components_of_degree(degree)]
 
 
 def mixed_t2(grid, basis):

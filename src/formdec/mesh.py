@@ -8,6 +8,7 @@ accurate for smooth periodic integrands.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,9 +31,17 @@ def permutation_sign(seq):
     return sign
 
 
+@functools.cache
 def merge_sign(left, right):
     """Sign of merging two disjoint sorted index tuples into one sorted tuple."""
     return permutation_sign(tuple(left) + tuple(right))
+
+
+@functools.cache
+def _complement_signs(n, p):
+    """merge_sign(I, complement of I) per sorted degree-p tuple I; the complements run reversed."""
+    keys = itertools.combinations(range(n), p)
+    return tuple(merge_sign(I, tuple(k for k in range(n) if k not in I)) for I in keys)
 
 
 @dataclass(frozen=True)
@@ -113,6 +122,7 @@ class PeriodicGrid:
         self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
         self.metric_diag.flags.writeable = False
         self.sqrt_abs_g.flags.writeable = False
+        self.cell_volume = float(np.prod(self.steps))
         self._symbol_cache = {}
 
     def _build_metric(self):
@@ -143,10 +153,6 @@ class PeriodicGrid:
     @property
     def is_flat(self):
         return self.spec.metric == "flat"
-
-    @property
-    def cell_volume(self):
-        return float(np.prod(self.steps))
 
     def volume(self):
         """Metric volume of the torus, int_M sqrt|g| dx."""
@@ -314,11 +320,9 @@ def wedge_integral(a: DiscreteForm, b: DiscreteForm) -> float:
     if a.degree + b.degree != n:
         raise ValueError(f"wedge_integral needs degrees summing to {n}")
     total = 0.0
-    for I, fa in a.components.items():
-        J = tuple(k for k in range(n) if k not in I)
-        fb = b.components[J]
+    for sign, fa, fb in zip(_complement_signs(n, a.degree), a.values, b.values[::-1]):
         product = _mean_along(fa, fb.shape) * _mean_along(fb, fa.shape)
-        total += merge_sign(I, J) * _grid_sum(product, a.grid)
+        total += sign * _grid_sum(product, a.grid)
     return total * a.grid.cell_volume
 
 

@@ -92,10 +92,17 @@ def _sign(params, group, key):
 
 
 def solve_group(group, params, s):
-    """Exact (E, T, Lambda) triple for one taxonomy group.
+    """Exact (E, T, Lambda) triple for one taxonomy group: solve_draws of one draw."""
+    return solve_draws(group, [params], s)[0]
 
-    `params` holds the free parameters that the group's _RULES row names,
-    and the group's branch below forces the other entries.
+
+def solve_draws(group, draws, s):
+    """Exact (E, T, Lambda) triples for a non-empty list of parameter draws of one group.
+
+    Each draw holds the free parameters that the group's _RULES row names;
+    _triple validates it and forces the other entries, draw by draw.  The
+    stacked triples are then checked to be finite, by one verify_triple and
+    for the group's det T, and an error there names the first draw that fails.
 
     Raises InfeasibleGroupError for an s parity the group does not admit,
     a sign other than +-1, a required parameter at 0 or a violated
@@ -104,12 +111,35 @@ def solve_group(group, params, s):
     E11 E22 in S2.2.2) overflows or underflows, so that the triple is not
     finite or misses the group's det T.
     """
+    E, T, Lam = map(np.array, zip(*[_triple(group, params, s) for params in draws]))
+    overflow = ~np.isfinite(np.concatenate((E, T, Lam), axis=-1)).all(axis=(1, 2))
+    if overflow.any():
+        bad = draws[np.argmax(overflow)]
+        raise ValueError(f"{group}: a forced entry of E, T or Lambda overflows for {bad}")
+    m_parity, _, det_k, _ = _RULES[group]
+    s = int(s) % 2
+    chk = verify_triple(E, T, Lam, (m_parity + s) % 2, T)  # D(m) parity for n = 2m: m + s
+    expected = None if det_k is None else (-1.0) ** (s + det_k)
+    # holds to rounding for finite entries; only one that under- or overflowed misses it
+    missed = np.zeros(len(draws), bool) if det_k is None else np.abs(chk.det_T - expected) > 1e-10
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise ValueError(
+            f"{group}: det T = {float(chk.det_T[i])} misses the group's {expected} in floating "
+            f"point: a forced entry under- or overflows for {draws[i]}"
+        )
+    rows = zip(E, T, Lam, chk.det_T, chk.max_residual())
+    return [TaxonomySolution(group, e, t, lam, float(d), float(r)) for e, t, lam, d, r in rows]
+
+
+def _triple(group, params, s):
+    """(E, T, Lambda) of one draw of a group, its parameters validated as solve_draws says."""
     if group not in GROUPS:
         raise ValueError(
             f"unknown group {group!r}: only the beta_m = 2 groups "
             f"{GROUPS} are classified (beta_m > 2 is not supported)"
         )
-    m_parity, s_parities, det_k, kinds = _RULES[group]
+    m_parity, s_parities, _, kinds = _RULES[group]
     s = int(s) % 2
     if s not in s_parities:
         raise InfeasibleGroupError(
@@ -175,18 +205,7 @@ def solve_group(group, params, s):
         Lam = np.array([[lam11, lam12], [lam12, lam22]], dtype=float)
         T = np.array([[A, float(lam12) / float(E22)], [float(lam12) / float(E11), -A]])
 
-    if not all(np.all(np.isfinite(M)) for M in (E, T, Lam)):
-        raise ValueError(f"{group}: a forced entry of E, T or Lambda overflows for {params}")
-    # D(m) parity for n = 2m is (m + s) mod 2
-    chk = verify_triple(E, T, Lam, (m_parity + s) % 2, T)
-    expected = None if det_k is None else (-1.0) ** (s + det_k)
-    if expected is not None and abs(chk.det_T - expected) > 1e-10:
-        # holds to rounding for finite entries; only one that under- or overflowed misses it
-        raise ValueError(
-            f"{group}: det T = {chk.det_T} misses the group's {expected} in floating "
-            f"point: a forced entry under- or overflows for {params}"
-        )
-    return TaxonomySolution(group, E, T, Lam.astype(float), chk.det_T, chk.max_residual())
+    return E, T, Lam
 
 
 def family_T(u, v):

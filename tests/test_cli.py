@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from formdec import calculus, cli, cohomology, fields
+from formdec import calculus, cli, cohomology, fields, mesh, taxonomy
 from formdec.mesh import PeriodicGrid
 
 from test_readme import readme_commands
@@ -441,6 +441,32 @@ def test_verify_cohomology_builds_T_once_at_the_middle_degree(capsys, monkeypatc
         calls.clear()
         code, _ = run(capsys, argv)
         assert code == 0 and calls == expected, argv
+
+
+def test_taxonomy_draws_run_one_stacked_check(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, cohomology, ("verify_triple",))
+    monkeypatch.setattr(taxonomy, "verify_triple", cohomology.verify_triple)
+    code, _ = run(capsys, ["taxonomy", "--group", "S2.2.2", "--s", "1", "--draws", "100"])
+    assert code == 0 and calls == {"verify_triple": 1}
+
+
+def test_a_second_em_command_rebuilds_no_sign(capsys, monkeypatch):
+    # the permutation signs are cached per index tuples, the star stacks per grid
+    em_commands = [argv for argv in readme_commands() if argv[0] == "em"]
+    assert len(em_commands) == 2
+    run(capsys, em_commands[0])
+    calls = count_calls(monkeypatch, mesh, ("permutation_sign",))
+    code, _ = run(capsys, em_commands[1])
+    assert code == 0 and calls["permutation_sign"] == 0
+
+
+@pytest.mark.parametrize("metric,evaluated", [("flat", 4), ("embedded-torus", 9)])
+def test_verify_core_evaluates_only_the_forms_it_checks(capsys, monkeypatch, metric, evaluated):
+    # every form's waves are drawn, so a seed gives the checks the same forms
+    # on both metrics, but the five flat-only discards are never evaluated
+    calls = count_calls(monkeypatch, fields, ("random_modes", "random_trig_form"))
+    code, _ = run(capsys, ["verify", "--suite", "core", "--grid", "16", "--metric", metric])
+    assert code == 0 and calls == {"random_modes": 9, "random_trig_form": evaluated}
 
 
 def test_verify_inputs_record_dim_and_metric(capsys):

@@ -78,8 +78,9 @@ def test_flat_residue_ties_projection_to_stencils():
     for scale in (1.0, 1.0 + 1e-6):
         grid = build_grid(GridSpec(2, (32, 32), (TWO_PI, TWO_PI), (1, 1)))
         basis = cohomology.build_basis(grid, 1)
-        for sigma in calculus._axis_symbols(grid):
-            sigma *= scale
+        # the cached symbols are read-only: replace them with scaled copies
+        sigmas = calculus._axis_symbols(grid)
+        grid._symbol_cache["sigma"] = tuple(sigma * scale for sigma in sigmas)
         phi = fields.random_trig_form(grid, 1, np.random.default_rng(63))
         residues.append(hodge_decompose(phi, basis).reconstruction_error)
     assert residues[0] <= 1e-12

@@ -8,14 +8,16 @@ the same formulas evaluated on full grid-shaped metric arrays; those
 comparisons are exact.
 """
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formdec import GridSpec, build_grid, calculus
+from formdec import GridSpec, build_grid, calculus, mesh
 from formdec.mesh import DiscreteForm, merge_sign
 
 TWO_PI = 2.0 * math.pi
@@ -333,3 +335,62 @@ def solve_past_its_residual(f):
         calculus.green_solve(f)
     except calculus.GreenSolveError:
         pass
+
+
+def test_cached_complement_signs_match_merge_sign():
+    # the complements of the degree-p tuples are the degree-(n-p) tuples reversed
+    for n in range(1, 5):
+        for p in range(n + 1):
+            keys = list(itertools.combinations(range(n), p))
+            complements = [tuple(a for a in range(n) if a not in I) for I in keys]
+            assert complements == list(itertools.combinations(range(n), n - p))[::-1]
+            signs = [mesh.permutation_sign(I + Ic) for I, Ic in zip(keys, complements)]
+            assert mesh._complement_signs(n, p) == tuple(signs)
+            assert [merge_sign(I, Ic) for I, Ic in zip(keys, complements)] == signs
+
+
+@FAST
+@given(grid=any_grids())
+def test_cached_star_stack_matches_a_fresh_build(grid):
+    for p in range(grid.dim + 1):
+        calculus.star(grid.zeros(p))
+        cached = grid._symbol_cache[("star", p)]
+        assert identical(cached, np.stack([coeff for _, _, coeff in star_terms(grid, p)]))
+        # scale is applied after the lookup and leaves the cached stack alone
+        values = random_form(grid, p, 5).values
+        got = calculus._star(values, p, grid, -1.0)
+        assert identical(got, np.multiply(values, cached * -1.0)[::-1])
+        assert identical(cached, np.stack([coeff for _, _, coeff in star_terms(grid, p)]))
+
+
+def cached_arrays(value):
+    if isinstance(value, tuple):
+        for v in value:
+            yield from cached_arrays(v)
+    elif isinstance(value, np.ndarray):
+        yield value
+
+
+@pytest.mark.parametrize(
+    "spec,kinds",
+    [
+        (GridSpec(2, (8, 12), (1.0, 2.0), (1, 1)), {"band", "star", "sigma", "rfft"}),
+        (
+            GridSpec(2, (8, 8), (TWO_PI, TWO_PI), (1, 1), "embedded-torus", 2.0, 1.0),
+            {"band", "star", "sigma", "curved"},
+        ),
+    ],
+)
+def test_cached_symbols_are_read_only(spec, kinds):
+    grid = build_grid(spec)
+    f = random_form(grid, 1, 0)
+    calculus.potentials(f)
+    calculus.green_solve(calculus.delta(f))
+    cache = grid._symbol_cache
+    assert {key if isinstance(key, str) else key[0] for key in cache} == kinds
+    for key, value in cache.items():
+        arrays = list(cached_arrays(value))
+        assert arrays, key
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0

@@ -1,8 +1,13 @@
 import itertools
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formdec.cohomology import verify_triple
 from formdec.taxonomy import (
     GROUPS,
     M_PARITY,
@@ -12,8 +17,11 @@ from formdec.taxonomy import (
     family_T,
     random_params,
     reality_rule,
+    solve_draws,
     solve_group,
 )
+
+ADMISSIBLE = [(g, s) for g in GROUPS for s in (0, 1) if g in admissible_groups(M_PARITY[g], s)]
 
 
 def test_admissible_groups():
@@ -218,3 +226,60 @@ def test_odd_s_mixed_group_needs_indefinite_E():
         p = random_params("S2.2.2", 1, rng)
         assert p["E11"] * p["E22"] < 0
         assert p["lam12"] ** 2 >= abs(p["E11"] * p["E22"])
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(ADMISSIBLE), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12))
+def test_stacked_check_matches_each_draw(case, seed, count):
+    # one verify_triple on the stack gives each draw's CheckReport bit for bit,
+    # and solve_draws each draw's solve_group
+    group, s = case
+    rng = np.random.default_rng(seed)
+    draws = [random_params(group, s, rng) for _ in range(count)]
+    sols = [solve_group(group, params, s=s) for params in draws]
+    D = (M_PARITY[group] + s) % 2
+    E, T, Lam = (np.stack([getattr(sol, M) for sol in sols]) for M in ("E", "T", "Lambda"))
+    stacked = verify_triple(E, T, Lam, D, T)
+    each = [verify_triple(sol.E, sol.T, sol.Lambda, D, sol.T) for sol in sols]
+    for field in dataclasses.fields(stacked):
+        got = getattr(stacked, field.name)
+        assert got.shape == (count,)
+        assert bits(got) == bits([getattr(chk, field.name) for chk in each]), field.name
+    assert all(type(getattr(chk, f.name)) is float for chk in each for f in dataclasses.fields(chk))
+    for got, ref in zip(solve_draws(group, draws, s), sols, strict=True):
+        for M in ("E", "T", "Lambda", "det_T", "constraints_residual"):
+            assert bits(getattr(got, M)) == bits(getattr(ref, M)), M
+
+
+@pytest.mark.parametrize(
+    "group,bad,error,match",
+    [
+        ("S2.1.1", {"E12": 0, "lam11": 1}, InfeasibleGroupError, "E12 != 0"),
+        ("S2.2.2", {"E11": 1, "E22": 1, "lam12": 2}, InfeasibleGroupError, "< 0"),
+        ("S2.1.3", {"E12": 1, "lam11": 1, "lam21": 5}, ValueError, "has no parameter 'lam21'"),
+        ("S2.1.1", {"E12": 1e300, "lam11": 1}, ValueError, "E, T or Lambda overflows"),
+        ("S2.1.1", {"E12": 1e-300, "lam11": 1}, ValueError, "det T = 0.0 misses the group's -1.0"),
+    ],
+)
+def test_solve_draws_names_the_draw_that_failed(group, bad, error, match):
+    # the error solve_group gives for that draw alone: the stacked checks
+    # (overflow, det T) find it among the others and name its parameters
+    with pytest.raises(error, match=match) as one:
+        solve_group(group, bad, s=0)
+    rng = np.random.default_rng(8)
+    draws = [random_params(group, 0, rng) for _ in range(5)]
+    draws.insert(3, bad)
+    with pytest.raises(error) as many:
+        solve_draws(group, draws, 0)
+    assert type(many.value) is type(one.value)
+    assert str(many.value) == str(one.value)
+
+
+def test_a_singular_E_anywhere_in_the_stack_raises():
+    # E = diag(1e-200, 1e200): E / max|E| has det 1e-400, which underflows
+    with pytest.raises(np.linalg.LinAlgError, match="singular E matrix"):
+        solve_draws("S2.2.1", [{"E11": 1, "E22": 1}, {"E11": 1e-200, "E22": 1e200}], 0)
