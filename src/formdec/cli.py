@@ -22,9 +22,7 @@ import time
 import numpy as np
 
 from . import calculus, cohomology, decompose, em, fields, taxonomy
-from .mesh import GridSpec, build_grid
-
-MINKOWSKI = (-1, 1, 1, 1)
+from .mesh import KNOWN_METRICS, GridSpec, build_grid
 
 NOT_INPUTS = ("command", "func", "json_out", "timings")
 
@@ -82,14 +80,6 @@ class Report:
 
 
 def _grid(args, dim, metric="flat", signature=None):
-    if args.grid**dim > MAX_POINTS:
-        n = math.floor(MAX_POINTS ** (1.0 / dim)) + 1
-        while n**dim > MAX_POINTS or n % 2:
-            n -= 1
-        raise ValueError(
-            f"--grid {args.grid} in {dim} dimensions makes {args.grid**dim} points, "
-            f"more than {MAX_POINTS}; the largest accepted even --grid is {n}"
-        )
     spec = GridSpec(
         dim=dim,
         points=(args.grid,) * dim,
@@ -99,6 +89,14 @@ def _grid(args, dim, metric="flat", signature=None):
         R=getattr(args, "R", 0.0),
         r=getattr(args, "r", 0.0),
     )
+    if args.grid**dim > MAX_POINTS:  # dim is 1..4 here
+        n = math.floor(MAX_POINTS ** (1.0 / dim)) + 1
+        while n**dim > MAX_POINTS or n % 2:
+            n -= 1
+        raise ValueError(
+            f"--grid {args.grid} in {dim} dimensions makes {args.grid**dim} points, "
+            f"more than {MAX_POINTS}; the largest accepted even --grid is {n}"
+        )
     return build_grid(spec)
 
 
@@ -175,9 +173,9 @@ def _verify_cohomology(args, report):
     report.check("normalization", basis.normalization_residual, tol)
     if basis.delta_residual is not None:
         report.check("delta_closure", basis.delta_residual, tol)
-    matrices, chk = cohomology.verify_pair(basis)
+    chk = cohomology.verify_pair(basis)
     for name in ("E", "T", "Lambda", "P"):
-        report.matrix(name, matrices[name])
+        report.matrix(name, getattr(basis, name))
     report.check("identity_tt", chk.tt_residual, tol)
     report.check("identity_et", chk.et_residual, tol)
     if basis.dual is basis:
@@ -208,21 +206,23 @@ def cmd_verify(args, report):
 # ---------------------------------------------------------------------------
 
 
+TORUS2_METRICS = dict(zip(("flat", "embedded"), KNOWN_METRICS))  # --mode: metric preset
+
+
 def cmd_torus2(args, report):
-    flat = args.mode == "flat"
-    grid = _grid(args, 2, "flat" if flat else "embedded-torus")
-    tol = 1e-10 if flat else 1e-5
+    grid = _grid(args, 2, TORUS2_METRICS[args.mode])
+    tol = 1e-10 if grid.is_flat else 1e-5
     basis = cohomology.build_basis(grid, 1)
-    matrices, chk = cohomology.verify_pair(basis)
+    chk = cohomology.verify_pair(basis)
     for name in ("E", "T", "Lambda", "P"):
-        report.matrix(name, matrices[name])
+        report.matrix(name, getattr(basis, name))
     report.check("TT_identity", chk.tt_residual, tol)
     report.check("ET_identity", chk.et_residual, tol)
     report.check("LEL_identity", chk.lel_residual, tol)
     report.check("reality", chk.reality_residual, tol)
     report.check("normalization", basis.normalization_residual, tol)
     # m = 1 odd: the only admissible group, with its quadratic constraint
-    E, Lam, s = matrices["E"], matrices["Lambda"], grid.neg_count
+    E, Lam, s = basis.E, basis.Lambda, grid.neg_count
     constraint = abs(Lam[0, 1] ** 2 - Lam[0, 0] * Lam[1, 1] - (-1.0) ** (s + 1) * E[0, 1] ** 2)
     report.check("group_constraint", constraint, tol)
     report.value("group", "S2.1.3")
@@ -322,8 +322,8 @@ def _parse_charges(text):
 
 def cmd_em(args, report):
     """Charges, currents, potentials and action of a preset field F."""
-    basis2 = cohomology.build_basis(_grid(args, 4, signature=MINKOWSKI), 2)
-    charge_list = _parse_charges(args.charges) if args.charges else None
+    basis2 = cohomology.build_basis(_grid(args, 4, signature=em.MINKOWSKI), 2)
+    charge_list = _parse_charges(args.charges) if args.charges is not None else None
     F = fields.em_preset(args.preset, basis2.grid, basis2, charge_list=charge_list)
     T2 = basis2.T
     chg = em.charges(F, basis2)
@@ -370,8 +370,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func):
+    def common(p, func, grid=None, radii=False):
         p.allow_abbrev = False  # a prefix such as --c is not read as --charges
+        if radii:  # the embedded torus
+            p.add_argument("--R", type=float, default=2.0)
+            p.add_argument("--r", type=float, default=1.0)
+        if grid is not None:
+            p.add_argument("--grid", type=int, default=grid, help="points per axis")
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument("--json-out", dest="json_out", default=None, help="also write JSON here")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
@@ -380,18 +385,12 @@ def build_parser():
     p = sub.add_parser("verify", help="run a module invariant battery")
     p.add_argument("--suite", choices=list(VERIFY_SUITES), required=True)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--metric", choices=["flat", "embedded-torus"], default="flat")
-    p.add_argument("--R", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=64, help="points per axis")
-    common(p, cmd_verify)
+    p.add_argument("--metric", choices=KNOWN_METRICS, default="flat")
+    common(p, cmd_verify, grid=64, radii=True)
 
     p = sub.add_parser("torus2", help="2-torus cohomology matrices")
-    p.add_argument("--mode", choices=["flat", "embedded"], default="flat")
-    p.add_argument("--R", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=128, help="points per axis")
-    common(p, cmd_torus2)
+    p.add_argument("--mode", choices=list(TORUS2_METRICS), default="flat")
+    common(p, cmd_torus2, grid=128, radii=True)
 
     p = sub.add_parser("taxonomy", help="beta_m = 2 solution families")
     p.add_argument(
@@ -414,14 +413,12 @@ def build_parser():
     p.add_argument(
         "--preset", choices=["mixed-t2", "exact-t2", "random"], default="mixed-t2"
     )
-    p.add_argument("--grid", type=int, default=64, help="points per axis")
-    common(p, cmd_decompose)
+    common(p, cmd_decompose, grid=64)
 
     p = sub.add_parser("em", help="electromagnetic demo on the Minkowski 4-torus")
     p.add_argument("--preset", choices=["topological", "exact", "mixed"], default="topological")
     p.add_argument("--charges", default=None, help="comma list like 1@01,2@23")
-    p.add_argument("--grid", type=int, default=12, help="points per axis")
-    common(p, cmd_em)
+    common(p, cmd_em, grid=12)
     return parser
 
 

@@ -74,6 +74,11 @@ class CohomologyBasis:
         """T^{(n-p)} = matrix_T(self, dual), built on first read and kept."""
         return matrix_T(self, self.dual)
 
+    @functools.cached_property
+    def Lambda(self):
+        """matrix_Lambda(self), built on first read and kept."""
+        return matrix_Lambda(self)
+
     def coefficients(self, form):
         """Harmonic coefficients c of form = d(a) + delta(b) + sum_a c_a gamma_a.
 
@@ -250,29 +255,26 @@ def verify_triple(E, T, Lam, D_parity, T_p):
 def verify_pair(basis):
     """verify_triple on a basis and its dual.
 
-    Reads E, P and T off the linked bases, so T is built once at the middle
-    degree, where the dual is the basis itself.  Returns (matrices, the
-    CheckReport), the matrices named as verify_triple's arguments.  lel is
-    a middle-degree identity.  E's transpose rule E^{(p)} = (-1)^{(n-p)p}
-    (E^{(n-p)})^t is not checked: every basis form has one nonzero
-    component, so both sides sum the same products and it reads 0.
+    Reads E, T = T^{(n-p)}, T_p = dual.T = T^{(p)} and Lambda off the linked
+    bases, so T is built once at the middle degree, where the dual is the
+    basis itself, and a second call builds no matrix.  Returns the
+    CheckReport; the matrices stay on the basis.  lel is a middle-degree
+    identity.  E's transpose rule E^{(p)} = (-1)^{(n-p)p} (E^{(n-p)})^t is
+    not checked: every basis form has one nonzero component, so both sides
+    sum the same products and it reads 0.
     """
-    grid, dual = basis.grid, basis.dual
+    grid = basis.grid
     Dpar = calculus.sign_D(basis.degree, grid.dim, grid.neg_count)
-    T, T_p = basis.T, dual.T  # T^{(n-p)}, T^{(p)}
-    Lam = matrix_Lambda(basis)
-    chk = verify_triple(basis.E, T, Lam, Dpar, T_p)
-    matrices = dict(E=basis.E, E_dual=dual.E, T=T, T_p=T_p, Lambda=Lam, P=basis.P)
-    return matrices, chk
+    return verify_triple(basis.E, basis.T, basis.Lambda, Dpar, basis.dual.T)
 
 
-def star_proportionality_residual(basis, Lam):
+def star_proportionality_residual(basis):
     """Orthogonal-basis corollary: star(gamma_a) = (lambda_a / eps_{a,P(a)}) gamma_{P(a)}.
 
-    E, P and the dual basis are read off the basis.  Only meaningful when
-    Lambda is diagonal within tolerance.
+    E, P, Lambda and the dual basis are read off the basis.  Only meaningful
+    when Lambda is diagonal within tolerance.
     """
-    E, P, dual = basis.E, basis.P, basis.dual
+    E, P, Lam, dual = basis.E, basis.P, basis.Lambda, basis.dual
     worst = 0.0
     for a, g in enumerate(basis.gammas):
         target = dual.gammas[P[a]] * (Lam[a, a] / E[a, P[a]])

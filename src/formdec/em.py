@@ -15,10 +15,12 @@ import numpy as np
 from . import calculus, decompose
 from .mesh import integrate_cycle_mean
 
+MINKOWSKI = (-1, 1, 1, 1)  # the signature, time axis first
+
 
 def require_minkowski(grid):
-    """Flat 4-torus with signature (-1, 1, 1, 1)."""
-    if grid.dim != 4 or not grid.is_flat or grid.signature != (-1, 1, 1, 1):
+    """Flat 4-torus with signature MINKOWSKI."""
+    if grid.dim != 4 or not grid.is_flat or grid.signature != MINKOWSKI:
         raise ValueError(
             "electromagnetic field needs a flat 4-torus with signature (-1,1,1,1)"
         )

@@ -16,8 +16,8 @@ def random_trig_form(grid, degree, rng):
     """Random form whose components are trig polynomials below Nyquist.
 
     Each component is a sum of NMODES waves amp*cos(k.x + phase) with
-    integer wave vectors bounded by KMAX, so derivatives and integrals
-    are exact for the spectral-accuracy arguments used in the checks.
+    integer wave vectors, |k_a| <= min(KMAX, N_a/2 - 1), so derivatives and
+    integrals are exact for the spectral-accuracy arguments used in the checks.
     """
     f = grid.zeros(degree)
     for comp, waves in zip(f.values, random_modes(grid, degree, rng)):
@@ -30,9 +30,15 @@ def random_trig_form(grid, degree, rng):
 
 
 def random_modes(grid, degree, rng):
-    """The waves (k, amp, phase) that random_trig_form draws from rng, per component."""
+    """The waves (k, amp, phase) that random_trig_form draws from rng, per component.
+
+    Each k_a is drawn in -KMAX..KMAX and clipped to N_a/2 - 1, below Nyquist,
+    so a seed draws the same stream on any grid.
+    """
+    kmax = np.minimum(KMAX, np.array(grid.shape) // 2 - 1)
+
     def wave():
-        k = rng.integers(-KMAX, KMAX + 1, size=grid.dim)
+        k = np.minimum(np.maximum(rng.integers(-KMAX, KMAX + 1, size=grid.dim), -kmax), kmax)
         return k, float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2.0 * np.pi))
 
     return [[wave() for _ in range(NMODES)] for _ in grid.components_of_degree(degree)]

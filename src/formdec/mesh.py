@@ -100,7 +100,7 @@ class PeriodicGrid:
     `coords[a]` holds the node coordinates along axis a, shaped to broadcast
     against the grid: (N_a,) on axis a and length 1 on every other axis.
     `metric_diag[a]` holds the positive scale factor |g_aa|; the sign of g_aa
-    is carried separately by `spec.signature`.  `metric_diag` and
+    is carried separately by `signature`.  `metric_diag` and
     `sqrt_abs_g` are stored with length-1 axes wherever the metric is
     constant, and broadcast against the grid shape: `metric_diag` has shape
     (n, 1, ..., 1) on flat grids and (2, 1, N_v) on the embedded torus, whose
@@ -108,7 +108,9 @@ class PeriodicGrid:
     """
 
     def __init__(self, spec: GridSpec):
-        self.spec = spec
+        self.spec = spec  # frozen, so these copies of its facts stay true
+        self.dim, self.signature, self.neg_count = spec.dim, spec.signature, spec.neg_count
+        self.is_flat = spec.metric == "flat"
         self.shape = spec.points
         self.steps = tuple(L / N for L, N in zip(spec.periods, spec.points))
         axes_1d = [np.arange(N) * h for N, h in zip(spec.points, self.steps)]
@@ -126,8 +128,8 @@ class PeriodicGrid:
         self._symbol_cache = {}
 
     def _build_metric(self):
-        n = self.spec.dim
-        if self.spec.metric == "flat":
+        n = self.dim
+        if self.is_flat:
             return np.ones((n,) + (1,) * n)
         # embedded-torus: g_uu = (R + r cos v)^2, g_vv = r^2
         R, r = self.spec.R, self.spec.r
@@ -137,22 +139,6 @@ class PeriodicGrid:
             g[0] = (R + r * np.cos(v)) ** 2
             g[1] = np.float64(r) ** 2
         return g
-
-    @property
-    def dim(self):
-        return self.spec.dim
-
-    @property
-    def signature(self):
-        return self.spec.signature
-
-    @property
-    def neg_count(self):
-        return self.spec.neg_count
-
-    @property
-    def is_flat(self):
-        return self.spec.metric == "flat"
 
     def volume(self):
         """Metric volume of the torus, int_M sqrt|g| dx."""

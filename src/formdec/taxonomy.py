@@ -60,15 +60,17 @@ def reality_rule(beta, D_parity):
 
 
 def _exactify(x):
-    """Keep ints/Fractions exact; pass floats through."""
-    if isinstance(x, (int, Fraction)):
+    """Keep ints/Fractions exact; pass floats through; refuse a bool or a non-number."""
+    if isinstance(x, float):
+        return float(x)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
-    return float(x)
+    raise TypeError(f"not a number: {x!r}")
 
 
 def _param(params, group, key, kind):
-    """params[key] through _exactify, 0 when a "real" one is missing; refuses it non-finite
-    or a missing "nonzero" one."""
+    """params[key] through _exactify, 0 when a "real" one is missing; refuses it not a
+    finite number, or a missing "nonzero" one."""
     if key not in params and kind == "nonzero":
         raise ValueError(f"group {group} needs the parameter {key!r}, got {sorted(params)}")
     value = params.get(key, 0)
@@ -76,15 +78,15 @@ def _param(params, group, key, kind):
         x = _exactify(value)
         if math.isfinite(x):
             return x
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         pass
     raise ValueError(f"group {group} needs a finite number for {key!r}, got {value!r}")
 
 
 def _sign(params, group, key):
-    """params[key], 1 when it is missing; anything but +1 or -1 is refused."""
+    """params[key], 1 when it is missing; anything but the number +1 or -1 is refused."""
     sign = params.get(key, 1)
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or sign not in (1, -1):
         raise InfeasibleGroupError(
             f"group {group} needs the parameter {key!r} = +1 or -1, got {sign!r}"
         )

@@ -129,14 +129,14 @@ def test_criterion_5_matrix_battery(capsys):
     for dim, p, n_pts in ((2, 1, 32), (3, 1, 16), (4, 1, 10), (4, 2, 10)):
         grid = build_grid(GridSpec(dim, (n_pts,) * dim, (TWO_PI,) * dim, (1,) * dim))
         bp = cohomology.build_basis(grid, p)
-        _, chk = cohomology.verify_pair(bp)
+        chk = cohomology.verify_pair(bp)
         lel = chk.lel_residual if 2 * p == dim else 0.0  # a middle-degree identity
         worst_flat = max(worst_flat, chk.tt_residual, chk.et_residual, lel)
     grid = build_grid(
         GridSpec(2, (128, 128), (TWO_PI, TWO_PI), (1, 1), metric="embedded-torus", R=2.0, r=1.0)
     )
     basis = cohomology.build_basis(grid, 1)
-    _, chk = cohomology.verify_pair(basis)
+    chk = cohomology.verify_pair(basis)
     worst_emb = chk.max_residual()
     ok = worst_flat <= 1e-10 and worst_emb <= 1e-5
     with capsys.disabled():

@@ -114,7 +114,8 @@ def test_em_non_finite_charges_are_usage_errors(capsys, charges, entry):
 
 
 @pytest.mark.parametrize(
-    "charges,entry", [("1@ab", "1@ab"), (",", ""), ("@01", "@01"), ("1", "1"), ("1@012", "1@012")]
+    "charges,entry",
+    [("1@ab", "1@ab"), (",", ""), ("@01", "@01"), ("1", "1"), ("1@012", "1@012"), ("", "")],
 )
 def test_em_malformed_charges_are_usage_errors(capsys, charges, entry):
     code = cli.main(["em", "--grid", "8", "--charges", charges])
@@ -146,6 +147,16 @@ def test_verify_dim_4_default_grid_is_refused(capsys, suite):
     assert code == 2
     assert captured.out == ""
     assert "the largest accepted even --grid is 44" in captured.err
+
+
+@pytest.mark.parametrize("dim", ["0", "5", "1000000"])
+def test_verify_dim_out_of_range_is_a_usage_error(capsys, dim):
+    # the grid spec checks dim before the point cap counts --grid ** dim
+    code = cli.main(["verify", "--suite", "core", "--dim", dim])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: dim must be in 1..4, got {dim}\n"
 
 
 def test_determinism(capsys):
@@ -309,6 +320,26 @@ def test_verify_decompose_higher_dims(capsys, dim):
     assert all(c["pass"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["verify", "--suite", "decompose", "--dim", dim, "--grid", grid]
+            for dim in "1234"
+            for grid in ("4", "6")
+        ),
+        ["decompose", "--preset", "random", "--grid", "4"],
+        ["decompose", "--preset", "random", "--grid", "6"],
+    ],
+    ids=" ".join,
+)
+def test_random_fields_on_small_grids_stay_below_nyquist(capsys, argv):
+    # a wave at or above Nyquist aliases, and its residue fails residue_norm
+    for seed in "012":
+        code, doc = run(capsys, argv + ["--seed", seed])
+        assert code == 0, [c for c in doc["checks"] if not c["pass"]]
+
+
 def test_em_reports_no_maxwell_checks(capsys):
     # with the currents computed from F, both Maxwell residuals are 0 by construction
     code, doc = run(capsys, ["em", "--preset", "mixed", "--grid", "8"])
@@ -343,6 +374,9 @@ def test_taxonomy_missing_param_names_group_and_key(capsys):
         ("S2.1.2", '{"E12": 1, "sign": 1.5}', "needs the parameter 'sign' = +1 or -1"),
         ("S2.1.2", '{"E12": 1, "sign": -1.9}', "needs the parameter 'sign' = +1 or -1"),
         ("S2.1.3", '{"E12": 1, "lam11": 1, "lam21": 5}', "has no parameter 'lam21'"),
+        ("S2.1.1", '{"E12": "1", "lam11": 1}', "needs a finite number for 'E12', got '1'"),
+        ("S2.1.1", '{"E12": true, "lam11": 1}', "needs a finite number for 'E12', got True"),
+        ("S2.1.2", '{"E12": 1, "sign": true}', "needs the parameter 'sign' = +1 or -1"),
     ],
 )
 def test_taxonomy_bad_param_names_group_and_key(capsys, group, params, message):

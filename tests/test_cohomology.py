@@ -111,7 +111,7 @@ def test_matrix_identity_battery_flat(dim, p):
     n_pts = {2: 32, 3: 16, 4: 10}[dim]
     grid = build_grid(GridSpec(dim, (n_pts,) * dim, (TWO_PI,) * dim, (1,) * dim))
     bp = build_basis(grid, p)
-    _, chk = verify_pair(bp)
+    chk = verify_pair(bp)
     assert max(chk.tt_residual, chk.et_residual) <= 1e-10
     if 2 * p == dim:  # lel and the reality rule are middle-degree identities
         assert max(chk.lel_residual, chk.reality_residual) <= 1e-10
@@ -119,7 +119,7 @@ def test_matrix_identity_battery_flat(dim, p):
 
 def test_matrix_identity_battery_embedded(t2_embedded):
     basis = build_basis(t2_embedded, 1)
-    _, chk = verify_pair(basis)
+    chk = verify_pair(basis)
     assert max(chk.max_residual(), chk.reality_residual) <= 1e-5
 
 
@@ -154,7 +154,7 @@ def test_verify_triple_singularity_is_scale_free(scale):
 
 def test_star_proportionality_corollary(t2_embedded):
     basis = build_basis(t2_embedded, 1)
-    res = cohomology.star_proportionality_residual(basis, matrix_Lambda(basis))
+    res = cohomology.star_proportionality_residual(basis)
     assert res <= 1e-6
 
 
@@ -215,24 +215,24 @@ def test_flat_build_basis_runs_no_stencil(monkeypatch, dim):
 def test_verify_pair_reuses_E_and_builds_each_T_once(monkeypatch, dim, p):
     grid = build_grid(GridSpec(dim, (8,) * dim, (TWO_PI,) * dim, (1,) * dim))
     basis = build_basis(grid, p)
-    calls = count_calls(monkeypatch, cohomology, ("matrix_E", "matrix_T"))
-    matrices, _ = verify_pair(basis)
+    calls = count_calls(monkeypatch, cohomology, ("matrix_E", "matrix_T", "matrix_Lambda"))
+    verify_pair(basis)
     assert calls["matrix_E"] == 0
     assert calls["matrix_T"] == (1 if 2 * p == dim else 2)
-    assert matrices["E"] is basis.E and matrices["E_dual"] is basis.dual.E
-    assert matrices["P"] is basis.P
+    assert calls["matrix_Lambda"] == 1
 
 
 @pytest.mark.parametrize("dim,p", [(2, 1), (4, 1), (4, 2)])
 def test_second_verify_pair_builds_no_T(monkeypatch, dim, p):
-    # T is kept on each basis, so a second battery reads it back
+    # T and Lambda are kept on each basis, so a second battery reads them back
     grid = build_grid(GridSpec(dim, (8,) * dim, (TWO_PI,) * dim, (1,) * dim))
     basis = build_basis(grid, p)
-    first, _ = verify_pair(basis)
-    calls = count_calls(monkeypatch, cohomology, ("matrix_E", "matrix_T"))
-    again, _ = verify_pair(basis)
+    first = verify_pair(basis)
+    kept = basis.T, basis.dual.T, basis.Lambda
+    calls = count_calls(monkeypatch, cohomology, ("matrix_E", "matrix_T", "matrix_Lambda"))
+    assert verify_pair(basis) == first
     assert calls == {}
-    assert again["T"] is first["T"] is basis.T and again["T_p"] is basis.dual.T
+    assert all(a is b for a, b in zip(kept, (basis.T, basis.dual.T, basis.Lambda)))
 
 
 @FAST

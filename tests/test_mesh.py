@@ -14,7 +14,7 @@ from formdec import (
     wedge_integral,
 )
 from formdec import calculus
-from formdec.mesh import DiscreteForm, linear_combination
+from formdec.mesh import DiscreteForm, PeriodicGrid, linear_combination
 from test_stencil_properties import FAST, any_grids, random_form
 
 TWO_PI = 2.0 * math.pi
@@ -68,6 +68,17 @@ def test_minkowski_signature_recorded():
     g = build_grid(GridSpec(4, (4,) * 4, (TWO_PI,) * 4, (-1, 1, 1, 1)))
     assert g.neg_count == 1
     assert np.all(g.metric_diag == 1.0)
+
+
+@FAST
+@given(grid=any_grids())
+def test_grid_facts_are_the_spec_facts(grid):
+    # set once from the frozen spec, as plain attributes
+    spec = grid.spec
+    assert (grid.dim, grid.signature, grid.neg_count, grid.is_flat) == (
+        spec.dim, spec.signature, spec.neg_count, spec.metric == "flat"
+    )
+    assert not [v for v in vars(PeriodicGrid).values() if isinstance(v, property)]
 
 
 def test_wedge_basis_and_antisymmetry(t2_flat):
