@@ -40,7 +40,6 @@ from .cohomology import (
 from .decompose import (
     Decomposition,
     NormBreakdown,
-    compact_assemble,
     cross_relation_check,
     dual_decompose,
     hodge_decompose,
@@ -50,15 +49,12 @@ from .taxonomy import (
     InfeasibleGroupError,
     TaxonomySolution,
     admissible_groups,
-    family_T,
-    reality_rule,
     solve_group,
 )
 from .em import (
     ActionBreakdown,
     ChargeSet,
     action,
-    assemble_F,
     charge_relations,
     charges,
     currents,

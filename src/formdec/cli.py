@@ -49,13 +49,14 @@ class Report:
         self.values[name] = v
 
     def check(self, name, residual, tolerance):
+        """A non-finite residual fails; to_json writes it as null."""
         residual = float(residual)
         self.checks.append(
             {
                 "name": name,
                 "residual": residual,
                 "tolerance": tolerance,
-                "pass": bool(residual <= tolerance),
+                "pass": math.isfinite(residual) and residual <= tolerance,
             }
         )
 
@@ -76,7 +77,9 @@ class Report:
         }
         if self.args.timings:
             doc["timings_ms"] = self.timings_ms
-        return json.dumps(doc, sort_keys=True, indent=2)
+        # strict JSON: a residual, value or matrix entry that is not finite is written as null
+        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _grid(args, dim, metric="flat", signature=None):
@@ -101,7 +104,7 @@ def _grid(args, dim, metric="flat", signature=None):
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline: the decomposition of 1-forms
+# shared pipelines: the decomposition of 1-forms and the identity battery
 # ---------------------------------------------------------------------------
 
 
@@ -129,6 +132,31 @@ def _decompose_pipeline(report, basis, phis):
     for k, val in worst.items():
         report.check(k, val, 1e-10 if "cycle" in k else 1e-8)
     return dec, v, nb
+
+
+def _identity_battery(report, dim, metric, **names):
+    """Report the degree-1 basis's E, T, Lambda and P, and one check per entry of names.
+
+    names maps a residual of the basis (normalization, delta) or of
+    verify_pair's CheckReport to its check name, in report order.  verify_pair
+    runs at the first of its residuals, so a numeric failure there keeps the
+    basis checks named before it.  A None delta (flat grids) and lel off the
+    middle degree are left out.  Returns the basis, CheckReport and tolerance.
+    """
+    grid = _grid(report.args, dim, metric)
+    tol = 1e-10 if grid.is_flat else 1e-5
+    basis = cohomology.build_basis(grid, 1)
+    chk = None
+    for key, name in names.items():
+        on_basis = key in ("normalization", "delta")
+        if not on_basis and chk is None:
+            chk = cohomology.verify_pair(basis)
+        residual = getattr(basis if on_basis else chk, f"{key}_residual")
+        if residual is not None and (key != "lel" or basis.dual is basis):
+            report.check(name, residual, tol)
+    for name in ("E", "T", "Lambda", "P"):
+        report.matrix(name, getattr(basis, name))
+    return basis, chk, tol
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +195,10 @@ def _verify_core(args, report):
 
 
 def _verify_cohomology(args, report):
-    grid = _grid(args, args.dim, args.metric)
-    tol = 1e-10 if grid.is_flat else 1e-5
-    basis = cohomology.build_basis(grid, 1)
-    report.check("normalization", basis.normalization_residual, tol)
-    if basis.delta_residual is not None:
-        report.check("delta_closure", basis.delta_residual, tol)
-    chk = cohomology.verify_pair(basis)
-    for name in ("E", "T", "Lambda", "P"):
-        report.matrix(name, getattr(basis, name))
-    report.check("identity_tt", chk.tt_residual, tol)
-    report.check("identity_et", chk.et_residual, tol)
-    if basis.dual is basis:
-        report.check("identity_lel", chk.lel_residual, tol)
+    _identity_battery(
+        report, args.dim, args.metric, normalization="normalization", delta="delta_closure",
+        tt="identity_tt", et="identity_et", lel="identity_lel",
+    )
 
 
 def _verify_decompose(args, report):
@@ -210,19 +229,12 @@ TORUS2_METRICS = dict(zip(("flat", "embedded"), KNOWN_METRICS))  # --mode: metri
 
 
 def cmd_torus2(args, report):
-    grid = _grid(args, 2, TORUS2_METRICS[args.mode])
-    tol = 1e-10 if grid.is_flat else 1e-5
-    basis = cohomology.build_basis(grid, 1)
-    chk = cohomology.verify_pair(basis)
-    for name in ("E", "T", "Lambda", "P"):
-        report.matrix(name, getattr(basis, name))
-    report.check("TT_identity", chk.tt_residual, tol)
-    report.check("ET_identity", chk.et_residual, tol)
-    report.check("LEL_identity", chk.lel_residual, tol)
-    report.check("reality", chk.reality_residual, tol)
-    report.check("normalization", basis.normalization_residual, tol)
+    basis, chk, tol = _identity_battery(
+        report, 2, TORUS2_METRICS[args.mode], tt="TT_identity", et="ET_identity",
+        lel="LEL_identity", reality="reality", normalization="normalization",
+    )
     # m = 1 odd: the only admissible group, with its quadratic constraint
-    E, Lam, s = basis.E, basis.Lambda, grid.neg_count
+    E, Lam, s = basis.E, basis.Lambda, basis.grid.neg_count
     constraint = abs(Lam[0, 1] ** 2 - Lam[0, 0] * Lam[1, 1] - (-1.0) ** (s + 1) * E[0, 1] ** 2)
     report.check("group_constraint", constraint, tol)
     report.value("group", "S2.1.3")
@@ -314,8 +326,8 @@ def _parse_charges(text):
             q, (i, j) = float(q), map(int, cls.strip())
         except ValueError:
             raise ValueError(f"--charges needs entries like 1@01, got {part!r}") from None
-        if not math.isfinite(q):
-            raise ValueError(f"--charges needs finite charges, got {part!r}")
+        if not math.isfinite(q * q):  # the action multiplies charges
+            raise ValueError(f"--charges needs finite charges, got {part!r}, whose square is {q * q}")
         out.append((q, (i, j)))
     return out
 

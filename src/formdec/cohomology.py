@@ -266,17 +266,3 @@ def verify_pair(basis):
     grid = basis.grid
     Dpar = calculus.sign_D(basis.degree, grid.dim, grid.neg_count)
     return verify_triple(basis.E, basis.T, basis.Lambda, Dpar, basis.dual.T)
-
-
-def star_proportionality_residual(basis):
-    """Orthogonal-basis corollary: star(gamma_a) = (lambda_a / eps_{a,P(a)}) gamma_{P(a)}.
-
-    E, P, Lambda and the dual basis are read off the basis.  Only meaningful
-    when Lambda is diagonal within tolerance.
-    """
-    E, P, Lam, dual = basis.E, basis.P, basis.Lambda, basis.dual
-    worst = 0.0
-    for a, g in enumerate(basis.gammas):
-        target = dual.gammas[P[a]] * (Lam[a, a] / E[a, P[a]])
-        worst = max(worst, (calculus.star(g) - target).norm_inf())
-    return worst

@@ -1,6 +1,6 @@
 """Hodge decomposition with cohomology term and residue, the dual cycle
-integrals, the cross relations between them, the compact even-dimension
-block form, and the quantized norm budget.
+integrals, the cross relations between them, and the quantized norm
+budget.
 
 The potentials come from calculus.potentials on every metric; the exact
 and coexact terms are the stencil d and delta of the potentials.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .calculus import sign_C, sign_D
+from .calculus import sign_C
 from .mesh import DiscreteForm, linear_combination, wedge_integral
 # Not used here: fdbench/selftest.py checks that its tracer rebinds this name
 # in every formdec namespace, decompose included.
@@ -125,16 +125,16 @@ def cross_relation_check(u, v, T, D_parity, T_dual):
     reciprocal: v_a = sum_b tau^{(n-p)}_{ba} u_b
     quadrature: w = i T^t w with w = u + i v      (middle degree, odd D)
 
+    The quadrature needs T T = -I, which holds at the middle degree only:
+    pass the same T object as T_dual there, and it is left out otherwise.
     Each residual is divided by max(1, max|u|, max|v|), the scale rule of
     NormBreakdown.budget_error.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    T = np.asarray(T, dtype=float)
-    T_dual = np.asarray(T_dual, dtype=float)
+    quadrature = D_parity % 2 and T_dual is T
+    u, v, T, T_dual = (np.asarray(x, dtype=float) for x in (u, v, T, T_dual))
     sgn = -1.0 if D_parity % 2 else 1.0
     out = {"forward": _max_abs(u - sgn * (T.T @ v)), "reciprocal": _max_abs(v - T_dual.T @ u)}
-    if D_parity % 2:
+    if quadrature:
         w = u + 1j * v
         out["quadrature"] = _max_abs(w - 1j * (T.T @ w))
     scale = max(1.0, _max_abs(u), _max_abs(v))
@@ -181,49 +181,3 @@ def norm_decompose(phi, dec, v, E, P):
     total = exact + coexact + topological + residue_term
     direct = wedge_integral(phi, sphi)
     return NormBreakdown(exact, coexact, topological, residue_term, total, direct)
-
-
-def sigma1(D_parity):
-    """Block matrix diag(1, (-1)^{D+1}) of the compact representation."""
-    return np.array([[1.0, 0.0], [0.0, (-1.0) ** ((D_parity + 1) % 2)]])
-
-
-def sigma2():
-    """Block matrix [[0,-1],[1,0]]; squares to -I."""
-    return np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def compact_assemble(alpha, beta, u, v, basis):
-    """Assemble (phi, star phi) at the middle degree from the block form.
-
-        [phi; star phi] = [sigma1 d + sigma2 (star d)] [alpha; beta]
-                          + sum_a [u_a; v_a] gamma_a
-
-    alpha and beta are (m-1)-forms.  The second slot is verified against
-    star(first slot) to 1e-8, which requires v consistent with u (v = T^t u);
-    a mismatch is a ValueError.
-    """
-    grid = basis.grid
-    n = grid.dim
-    if n % 2:
-        raise ValueError("compact form needs an even-dimensional manifold")
-    m = n // 2
-    if basis.degree != m:
-        raise ValueError("basis must sit at the middle degree")
-    Dpar = sign_D(m, n, grid.neg_count)
-    s1 = sigma1(Dpar)
-    s2 = sigma2()
-    da = calculus.d(alpha)
-    db = calculus.d(beta)
-    sda = calculus.star(da)
-    sdb = calculus.star(db)
-    forms = [da, db, sda, sdb] + basis.gammas
-    phi = linear_combination(forms, [s1[0, 0], s1[0, 1], s2[0, 0], s2[0, 1], *u])
-    sphi = linear_combination(forms, [s1[1, 0], s1[1, 1], s2[1, 0], s2[1, 1], *v])
-    mismatch = (calculus.star(phi) - sphi).norm_inf()
-    if mismatch > 1e-8 * max(phi.norm_inf(), 1.0):
-        raise ValueError(
-            f"second slot is not star(first): mismatch {mismatch:.3e} "
-            "(u and v are inconsistent)"
-        )
-    return phi, sphi

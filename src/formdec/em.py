@@ -1,6 +1,6 @@
-"""Electromagnetism on a Minkowski 4-torus: field assembly in MTW
-component conventions, topological charges, continuous currents, the
-double potential, and the quantized action budget.
+"""Electromagnetism on a Minkowski 4-torus: topological charges,
+continuous currents, the double potential, and the quantized action
+budget.
 
 Units set the vacuum permeability and the speed of light to 1 throughout;
 only lambda_scale takes the SI constants.
@@ -43,22 +43,6 @@ class ActionBreakdown:
     @property
     def cross_check_residual(self):
         return abs(self.total - self.lagrangian_total) / max(1.0, abs(self.lagrangian_total))
-
-
-def assemble_F(Efield, Bfield, grid):
-    """Build F from per-point E and B arrays (3 each) in MTW conventions.
-
-    F_{0i} = -E_i on the (0,i) pairs; B fills the spatial pairs as
-    F_{23} = B1, F_{13} = -B2, F_{12} = B3.  Returns the 2-form F.
-    """
-    require_minkowski(grid)
-    F = grid.zeros(2)
-    for i in range(3):
-        F.components[(0, i + 1)] -= np.asarray(Efield[i], dtype=float)
-    F.components[(2, 3)] += np.asarray(Bfield[0], dtype=float)
-    F.components[(1, 3)] += -np.asarray(Bfield[1], dtype=float)
-    F.components[(1, 2)] += np.asarray(Bfield[2], dtype=float)
-    return F
 
 
 def charges(F, basis2):

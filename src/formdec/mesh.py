@@ -116,12 +116,14 @@ class PeriodicGrid:
         axes_1d = [np.arange(N) * h for N, h in zip(spec.points, self.steps)]
         self.coords = np.meshgrid(*axes_1d, indexing="ij", sparse=True)
         self.metric_diag = self._build_metric()
-        if not np.all(np.isfinite(self.metric_diag) & (self.metric_diag > 0)):
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
+        tiny = np.finfo(float).tiny  # a subnormal factor has lost its precision
+        if not all(np.all(np.isfinite(a) & (a >= tiny)) for a in (self.metric_diag, self.sqrt_abs_g)):
             raise ValueError(
-                f"degenerate metric: scale factors must stay positive and finite "
-                f"(R={spec.R}, r={spec.r})"
+                f"degenerate metric: the scale factors and sqrt|g| must stay positive and finite "
+                f"and at least {tiny:.4g}, the smallest normal float (R={spec.R}, r={spec.r})"
             )
-        self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
         self.metric_diag.flags.writeable = False
         self.sqrt_abs_g.flags.writeable = False
         self.cell_volume = float(np.prod(self.steps))

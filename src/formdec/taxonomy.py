@@ -52,13 +52,6 @@ def admissible_groups(m_parity, s_parity):
     return [g for g, (m, s_pars, *_) in _RULES.items() if m == m_parity and s_parity in s_pars]
 
 
-def reality_rule(beta, D_parity):
-    """'real' when T can be a real matrix, i.e. beta * D is even."""
-    if beta < 1:
-        raise ValueError("beta must be at least 1")
-    return "real" if (beta * D_parity) % 2 == 0 else "complex"
-
-
 def _exactify(x):
     """Keep ints/Fractions exact; pass floats through; refuse a bool or a non-number."""
     if isinstance(x, float):
@@ -208,15 +201,6 @@ def _triple(group, params, s):
         T = np.array([[A, float(lam12) / float(E22)], [float(lam12) / float(E11), -A]])
 
     return E, T, Lam
-
-
-def family_T(u, v):
-    """Continuous family [[u, v], [-(1+u^2)/v, -u]]; squares to -I."""
-    if v == 0:
-        raise ValueError("family_T needs v != 0")
-    u = _exactify(u)
-    v = _exactify(v)
-    return np.array([[u, v], [-(1 + u * u) / v, -u]], dtype=float)
 
 
 _DRAWS = {

@@ -192,7 +192,7 @@ def test_criterion_7_em_demo(capsys):
     elapsed = time.perf_counter() - t0
     ok = (
         basis2.betti == 6
-        and taxonomy.reality_rule(6, 1) == "real"
+        and cohomology.verify_pair(basis2).reality_residual <= 1e-10
         and charge_err <= 1e-8
         and quad_res <= 1e-8
         and abs(act.quantized_term - 1.0) <= 1e-7

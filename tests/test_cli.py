@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -104,13 +105,34 @@ def test_em_custom_charges(capsys):
     assert abs(sorted(qM)[-1] - 2.0) < 1e-8
 
 
-@pytest.mark.parametrize("charges,entry", [("nan@01", "nan@01"), ("1@01,inf@23", "inf@23")])
+# the action multiplies charges: 1e300 is finite, but its square is not
+@pytest.mark.parametrize(
+    "charges,entry", [("nan@01", "nan@01"), ("1@01,inf@23", "inf@23"), ("1e300@23", "1e300@23")]
+)
 def test_em_non_finite_charges_are_usage_errors(capsys, charges, entry):
     code = cli.main(["em", "--grid", "8", "--charges", charges])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert f"error: --charges needs finite charges, got '{entry}'" in captured.err
+
+
+def test_report_writes_non_finite_numbers_as_null():
+    def strict(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    report = cli.Report(cli.build_parser().parse_args(["torus2"]))
+    report.check("nan", math.nan, 1.0)
+    report.check("minus_inf", -math.inf, 1.0)
+    report.check("finite", 0.5, 1.0)
+    report.value("action", {"total": math.inf, "electric": 2.0})
+    report.matrix("T", [[math.nan, 1.0]])
+    doc = json.loads(report.to_json(), parse_constant=strict)
+    checks = [(c["name"], c["residual"], c["pass"]) for c in doc["checks"]]
+    assert checks == [("nan", None, False), ("minus_inf", None, False), ("finite", 0.5, True)]
+    assert doc["values"] == {"action": {"total": None, "electric": 2.0}}
+    assert doc["matrices"] == {"T": [[None, 1.0]]}
+    assert not report.ok()
 
 
 @pytest.mark.parametrize(
@@ -320,6 +342,17 @@ def test_verify_decompose_higher_dims(capsys, dim):
     assert all(c["pass"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("seed", ["4", "12", "42", "55", "85"])
+def test_verify_decompose_dim_4_checks_no_quadrature_at_degree_1(capsys, seed):
+    # each seed draws a k = 0 wave, so the forms have a harmonic part.  D(1) is
+    # odd on T^4, but T^(1) T^(1) is not -I, so the quadrature relation, which
+    # needs the middle degree, would fail there
+    argv = ["verify", "--suite", "decompose", "--dim", "4", "--grid", "8", "--seed", seed]
+    code, doc = run(capsys, argv)
+    assert code == 0
+    assert max(c["residual"] for c in doc["checks"]) < 1e-12
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -414,6 +447,26 @@ def test_non_finite_embedded_torus_is_a_usage_error(capsys, R):
     assert code == 2
     assert captured.out == ""
     assert f"R={float(R)}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # finite factors whose product overflows: sqrt|g| is inf
+        ["torus2", "--mode", "embedded", "--grid", "6", "--R", "1e154", "--r", "1e153"],
+        # g_vv = r^2 = 1e-320 is subnormal
+        ["verify", "--suite", "core", "--metric", "embedded-torus", "--grid", "8", "--R", "2",
+         "--r", "1e-160"],
+    ],
+    ids=" ".join,
+)
+def test_degenerate_embedded_metric_is_a_usage_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    R, r = float(argv[-3]), float(argv[-1])
+    assert "error: degenerate metric" in captured.err and f"(R={R}, r={r})" in captured.err
 
 
 def test_verify_core_dim_1_reports_adjointness_only(capsys):

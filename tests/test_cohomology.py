@@ -152,12 +152,6 @@ def test_verify_triple_singularity_is_scale_free(scale):
         verify_triple(np.zeros((2, 2)), np.eye(2), E, 0, np.eye(2))
 
 
-def test_star_proportionality_corollary(t2_embedded):
-    basis = build_basis(t2_embedded, 1)
-    res = cohomology.star_proportionality_residual(basis)
-    assert res <= 1e-6
-
-
 def test_duality_error_on_bad_degrees(t2_flat):
     b1 = build_basis(t2_flat, 1)
     b0 = build_basis(t2_flat, 0)

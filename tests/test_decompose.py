@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from formdec import GridSpec, build_grid, calculus, cli, cohomology, decompose, fields
 from formdec.calculus import sign_D
 from formdec.decompose import (
-    compact_assemble,
     cross_relation_check,
     dual_decompose,
     hodge_decompose,
     norm_decompose,
-    sigma1,
-    sigma2,
 )
 
 from test_stencil_properties import (
@@ -98,6 +95,8 @@ def test_cross_relations(setup):
     res = cross_relation_check(u, v, T, sign_D(1, 2, 0), T_dual=T)
     assert res["max"] < 1e-12
     assert res["quadrature"] < 1e-12  # w = i T^t w
+    # T T = -I holds only at the middle degree, where T_dual is T
+    assert "quadrature" not in cross_relation_check(u, v, T, 1, T_dual=T.copy())
     assert cross_relation_check([0, 0], [0, 0], T, 1, T_dual=T)["max"] == 0.0
 
 
@@ -175,51 +174,6 @@ def test_linear_independence_gram_blocks(setup):
     assert np.max(np.abs(G[1, 2:])) < 1e-8
     # diagonal blocks are nondegenerate witnesses
     assert G[0, 0] > 0 and G[1, 1] > 0
-
-
-def test_sigma_matrices():
-    assert np.allclose(sigma2() @ sigma2(), -np.eye(2))
-    # odd D: sigma1 = I and R(xi) = sigma1 cos + sigma2 sin is orthogonal
-    s1 = sigma1(1)
-    assert np.allclose(s1, np.eye(2))
-    for xi in (0.3, 1.2, 2.9):
-        R = s1 * math.cos(xi) + sigma2() * math.sin(xi)
-        assert np.allclose(R @ R.T, np.eye(2), atol=1e-12)
-
-
-def test_compact_assemble_basis_case(setup):
-    grid, basis, E, P, T = setup
-    zero = grid.zeros(0)
-    u = np.array([1.0, 0.0])
-    v = T.T @ u  # consistent dual integrals
-    phi, sphi = compact_assemble(zero, zero, u, v, basis)
-    assert (phi - basis.gammas[0]).norm_inf() < 1e-12
-    assert (sphi - basis.gammas[1]).norm_inf() < 1e-12  # star(gamma1) = gamma2
-
-
-def test_compact_assemble_zero(setup):
-    grid, basis, E, P, T = setup
-    zero = grid.zeros(0)
-    phi, sphi = compact_assemble(zero, zero, [0.0, 0.0], [0.0, 0.0], basis)
-    assert phi.norm_inf() == 0.0 and sphi.norm_inf() == 0.0
-
-
-def test_compact_assemble_full(setup):
-    grid, basis, E, P, T = setup
-    rng = np.random.default_rng(27)
-    alpha = fields.random_trig_form(grid, 0, rng)
-    beta = fields.random_trig_form(grid, 0, rng)
-    u = np.array([0.5, -1.5])
-    v = T.T @ u
-    phi, sphi = compact_assemble(alpha, beta, u, v, basis)
-    assert (calculus.star(phi) - sphi).norm_inf() < 1e-8 * max(phi.norm_inf(), 1.0)
-
-
-def test_compact_assemble_inconsistent_rejected(setup):
-    grid, basis, E, P, T = setup
-    zero = grid.zeros(0)
-    with pytest.raises(ValueError):
-        compact_assemble(zero, zero, [1.0, 0.0], [1.0, 0.0], basis)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from formdec import calculus, cohomology, decompose, em, fields
 from formdec.em import (
-    assemble_F,
     action,
     charge_relations,
     charges,
@@ -26,22 +25,6 @@ def setup(t4_mink):
     E2, P = cohomology.matrix_E(basis2, basis2)
     T2 = cohomology.matrix_T(basis2, basis2)
     return t4_mink, basis2, E2, P, T2
-
-
-def test_assemble_uniform_magnetic(setup):
-    grid, basis2, E2, P, T2 = setup
-    zero = np.zeros(grid.shape)
-    F = assemble_F([zero] * 3, [np.ones(grid.shape), zero, zero], grid)
-    assert np.all(F.components[(2, 3)] == 1.0)
-    assert F.norm_inf() == 1.0
-
-
-def test_assemble_uniform_electric_sign(setup):
-    grid, basis2, E2, P, T2 = setup
-    zero = np.zeros(grid.shape)
-    e1 = np.full(grid.shape, 2.0)
-    F = assemble_F([e1, zero, zero], [zero] * 3, grid)
-    assert np.all(F.components[(0, 1)] == -2.0)  # F_01 = -E_1
 
 
 def test_assemble_rejects_wrong_grid(t2_flat):

@@ -14,9 +14,7 @@ from formdec.taxonomy import (
     _RULES,
     InfeasibleGroupError,
     admissible_groups,
-    family_T,
     random_params,
-    reality_rule,
     solve_draws,
     solve_group,
 )
@@ -36,15 +34,6 @@ def test_admissible_groups():
     # the --group choices and the seeds of test_random_draw_battery follow this order
     assert GROUPS == ("S2.1.1", "S2.1.2", "S2.1.3", "S2.2.1", "S2.2.2")
     assert M_PARITY == {"S2.1.1": 0, "S2.1.2": 0, "S2.1.3": 1, "S2.2.1": 0, "S2.2.2": 0}
-
-
-def test_reality_rule():
-    assert reality_rule(2, 1) == "real"
-    assert reality_rule(1, 1) == "complex"
-    assert reality_rule(6, 1) == "real"
-    assert reality_rule(3, 0) == "real"
-    with pytest.raises(ValueError):
-        reality_rule(0, 1)
 
 
 def test_rotation_family_example():
@@ -208,15 +197,6 @@ def test_determinant_table(group, s, expected):
     rng = np.random.default_rng(99)
     sol = solve_group(group, random_params(group, s, rng), s=s)
     assert abs(sol.det_T - expected) < 1e-12
-
-
-def test_family_T_cases():
-    for u, v in ((0, 1), (1, 1), (0, -1), (2.5, 0.3)):
-        T = family_T(u, v)
-        assert np.allclose(T @ T, -np.eye(2), atol=1e-12)
-    assert np.allclose(family_T(0, 1), [[0, 1], [-1, 0]])
-    with pytest.raises(ValueError):
-        family_T(1, 0)
 
 
 def test_odd_s_mixed_group_needs_indefinite_E():
