@@ -49,7 +49,6 @@ from .taxonomy import (
     InfeasibleGroupError,
     TaxonomySolution,
     admissible_groups,
-    solve_group,
 )
 from .em import (
     ActionBreakdown,

@@ -399,6 +399,7 @@ def _curved_symbols(grid):
     for every mode at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     Returns (V, the masked inverse of sigma_k^2 + lambda_j in rfft-along-u
     layout, its deflated count, and the constant-mode weight sum sqrt|g|).
+    An eigh that does not converge raises GreenSolveError with a NaN residual.
     """
     cache = grid._symbol_cache
     if "curved" not in cache:
@@ -408,7 +409,10 @@ def _curved_symbols(grid):
         Dt = partial(np.eye(grid.shape[1]), 1, grid)
         K = (Dt * (sqrt_g / g_vv)) @ Dt.T
         a_isqrt = np.sqrt(g_uu / sqrt_g)
-        lam, W = np.linalg.eigh(a_isqrt[:, None] * K * a_isqrt)
+        try:
+            lam, W = np.linalg.eigh(a_isqrt[:, None] * K * a_isqrt)
+        except np.linalg.LinAlgError as exc:  # a failed check, not bad input
+            raise GreenSolveError(f"fast diagonalization: {exc}", math.nan, GREEN_TOL) from exc
         V = a_isqrt[:, None] * W
         sigma_u = _axis_symbols(grid)[0][: grid.shape[0] // 2 + 1]
         _, green, deflated = _masked_inverse((sigma_u * sigma_u)[:, None] + lam, 0)

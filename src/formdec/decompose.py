@@ -145,18 +145,19 @@ def cross_relation_check(u, v, T, D_parity, T_dual):
 
 @dataclass
 class NormBreakdown:
-    """(phi,phi) split into exact, coexact, topological and residue terms."""
+    """(phi,phi) as exact + coexact + topological + residue = total, and direct =
+    (phi,phi) itself; the fields are the keys of the decompose report's norm_terms."""
 
-    exact_term: float
-    coexact_term: float
-    topological_term: float
-    residue_term: float
+    exact: float
+    coexact: float
+    topological: float
+    residue: float
     total: float
-    direct_norm: float
+    direct: float
 
     @property
     def budget_error(self):
-        return abs(self.total - self.direct_norm) / max(1.0, abs(self.direct_norm))
+        return abs(self.total - self.direct) / max(1.0, abs(self.direct))
 
 
 def norm_decompose(phi, dec, v, E, P):
@@ -177,7 +178,6 @@ def norm_decompose(phi, dec, v, E, P):
     exact = 0.0 if dec.exact is None else wedge_integral(dec.exact, sphi)
     coexact = 0.0 if dec.coexact is None else wedge_integral(dec.coexact, sphi)
     topological = topological_sum(E, P, dec.u, v)
-    residue_term = calculus.pairing(dec.residue, dec.residue)
-    total = exact + coexact + topological + residue_term
-    direct = wedge_integral(phi, sphi)
-    return NormBreakdown(exact, coexact, topological, residue_term, total, direct)
+    residue = calculus.pairing(dec.residue, dec.residue)
+    total = exact + coexact + topological + residue
+    return NormBreakdown(exact, coexact, topological, residue, total, wedge_integral(phi, sphi))

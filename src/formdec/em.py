@@ -34,15 +34,18 @@ class ChargeSet:
 
 @dataclass
 class ActionBreakdown:
-    electric_term: float
-    magnetic_term: float
-    quantized_term: float
+    """electric + magnetic + quantized = total, the em report's action keys, and
+    lagrangian = -(F,F) - (AE,JE) - (AM,JM), the action it is cross-checked with."""
+
+    electric: float
+    magnetic: float
+    quantized: float
     total: float
-    lagrangian_total: float  # -(F,F) - (AE,JE) - (AM,JM)
+    lagrangian: float
 
     @property
     def cross_check_residual(self):
-        return abs(self.total - self.lagrangian_total) / max(1.0, abs(self.lagrangian_total))
+        return abs(self.total - self.lagrangian) / max(1.0, abs(self.lagrangian))
 
 
 def charges(F, basis2):

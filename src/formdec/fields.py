@@ -44,8 +44,9 @@ def random_modes(grid, degree, rng):
     return [[wave() for _ in range(NMODES)] for _ in grid.components_of_degree(degree)]
 
 
-def mixed_t2(grid, basis):
-    """d(sin u) + 3 gamma_1 + 4 gamma_2 on a 2-torus, compact along v; u = (3, 4) by design."""
+def mixed_t2(basis):
+    """d(sin u) + 3 gamma_1 + 4 gamma_2 of a 2-torus basis, compact along v, so u = (3, 4)."""
+    grid = basis.grid
     if grid.dim != 2:
         raise ValueError("mixed-t2 preset needs a 2-torus")
     scalar = DiscreteForm(grid, 0, np.sin(grid.coords[0])[None])
@@ -67,14 +68,14 @@ def em_gauge_potential(grid):
     return DiscreteForm(grid, 1, values)
 
 
-def em_preset(name, grid, basis2, charge_list=None):
-    """Named electromagnetic 2-form presets on the Minkowski 4-torus.
+def em_preset(name, basis2, charge_list):
+    """Named electromagnetic 2-form presets on the Minkowski 4-torus of a 2-form basis.
 
-    topological: sum of charges on cohomology classes (default 1@01);
+    topological: sum of charges on cohomology classes (1@01 when charge_list is None);
     exact:       F = d A0 for the smooth gauge potential A0;
     mixed:       both contributions together.
     """
-    charge_list = charge_list or [(1.0, (0, 1))]
+    grid, charge_list = basis2.grid, charge_list or [(1.0, (0, 1))]
     comps = grid.components_of_degree(2)
     classes = []
     for q, pair in charge_list:

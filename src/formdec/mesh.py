@@ -116,13 +116,19 @@ class PeriodicGrid:
         axes_1d = [np.arange(N) * h for N, h in zip(spec.points, self.steps)]
         self.coords = np.meshgrid(*axes_1d, indexing="ij", sparse=True)
         self.metric_diag = self._build_metric()
-        with np.errstate(over="ignore"):  # an overflow is refused below
+        with np.errstate(all="ignore"):  # an overflow, 0 or NaN is refused below
             self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
+            # |coefficients| of star on every degree, in _star's order of operations
+            stars, inverse = {(): self.sqrt_abs_g}, 1.0 / self.metric_diag
+            for I in itertools.chain(*map(self.components_of_degree, range(1, self.dim + 1))):
+                stars[I] = stars[I[:-1]] * inverse[I[-1]]
+        factors = np.stack([*self.metric_diag, *stars.values()])
         tiny = np.finfo(float).tiny  # a subnormal factor has lost its precision
-        if not all(np.all(np.isfinite(a) & (a >= tiny)) for a in (self.metric_diag, self.sqrt_abs_g)):
+        if not np.all(np.isfinite(factors) & (factors >= tiny)):
             raise ValueError(
-                f"degenerate metric: the scale factors and sqrt|g| must stay positive and finite "
-                f"and at least {tiny:.4g}, the smallest normal float (R={spec.R}, r={spec.r})"
+                f"degenerate metric: the scale factors, sqrt|g| and the coefficients of star must "
+                f"stay positive and finite and at least {tiny:.4g}, the smallest normal float "
+                f"(R={spec.R}, r={spec.r})"
             )
         self.metric_diag.flags.writeable = False
         self.sqrt_abs_g.flags.writeable = False

@@ -52,52 +52,37 @@ def admissible_groups(m_parity, s_parity):
     return [g for g, (m, s_pars, *_) in _RULES.items() if m == m_parity and s_parity in s_pars]
 
 
-def _exactify(x):
-    """Keep ints/Fractions exact; pass floats through; refuse a bool or a non-number."""
-    if isinstance(x, float):
-        return float(x)
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"not a number: {x!r}")
-
-
 def _param(params, group, key, kind):
-    """params[key] through _exactify, 0 when a "real" one is missing; refuses it not a
-    finite number, or a missing "nonzero" one."""
+    """params[key] by its kind in _RULES: a "sign" is +1 or -1, 1 when missing, else
+    InfeasibleGroupError; a "nonzero" (required) or "real" (0 when missing) one is a
+    finite int or Fraction, kept exact as a Fraction, or a float, else ValueError."""
+    if kind == "sign":
+        sign = params.get(key, 1)
+        if isinstance(sign, bool) or sign not in (1, -1):
+            raise InfeasibleGroupError(
+                f"group {group} needs the parameter {key!r} = +1 or -1, got {sign!r}"
+            )
+        return int(sign)
     if key not in params and kind == "nonzero":
         raise ValueError(f"group {group} needs the parameter {key!r}, got {sorted(params)}")
-    value = params.get(key, 0)
+    x = params.get(key, 0)
+    exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
     try:
-        x = _exactify(value)
-        if math.isfinite(x):
-            return x
-    except (TypeError, OverflowError):
+        if (exact or isinstance(x, float)) and math.isfinite(x):
+            return Fraction(x) if exact else float(x)
+    except OverflowError:  # an int or Fraction beyond the float range
         pass
-    raise ValueError(f"group {group} needs a finite number for {key!r}, got {value!r}")
-
-
-def _sign(params, group, key):
-    """params[key], 1 when it is missing; anything but the number +1 or -1 is refused."""
-    sign = params.get(key, 1)
-    if isinstance(sign, bool) or sign not in (1, -1):
-        raise InfeasibleGroupError(
-            f"group {group} needs the parameter {key!r} = +1 or -1, got {sign!r}"
-        )
-    return int(sign)
-
-
-def solve_group(group, params, s):
-    """Exact (E, T, Lambda) triple for one taxonomy group: solve_draws of one draw."""
-    return solve_draws(group, [params], s)[0]
+    raise ValueError(f"group {group} needs a finite number for {key!r}, got {x!r}")
 
 
 def solve_draws(group, draws, s):
     """Exact (E, T, Lambda) triples for a non-empty list of parameter draws of one group.
 
-    Each draw holds the free parameters that the group's _RULES row names;
-    _triple validates it and forces the other entries, draw by draw.  The
-    stacked triples are then checked to be finite, by one verify_triple and
-    for the group's det T, and an error there names the first draw that fails.
+    The group and the parity of s are checked once.  Each draw holds the free
+    parameters that the group's _RULES row names; _triple validates it and
+    forces the other entries, draw by draw.  The stacked triples are then
+    checked to be finite, by one verify_triple and for the group's det T, and
+    an error there names the first draw that fails.
 
     Raises InfeasibleGroupError for an s parity the group does not admit,
     a sign other than +-1, a required parameter at 0 or a violated
@@ -106,13 +91,23 @@ def solve_draws(group, draws, s):
     E11 E22 in S2.2.2) overflows or underflows, so that the triple is not
     finite or misses the group's det T.
     """
+    if group not in GROUPS:
+        raise ValueError(
+            f"unknown group {group!r}: only the beta_m = 2 groups "
+            f"{GROUPS} are classified (beta_m > 2 is not supported)"
+        )
+    m_parity, s_parities, det_k, _ = _RULES[group]
+    s = int(s) % 2
+    if s not in s_parities:
+        raise InfeasibleGroupError(
+            f"{group} is infeasible for s parity {s}; the groups for m parity "
+            f"{m_parity} and s parity {s} are {admissible_groups(m_parity, s)}"
+        )
     E, T, Lam = map(np.array, zip(*[_triple(group, params, s) for params in draws]))
     overflow = ~np.isfinite(np.concatenate((E, T, Lam), axis=-1)).all(axis=(1, 2))
     if overflow.any():
         bad = draws[np.argmax(overflow)]
         raise ValueError(f"{group}: a forced entry of E, T or Lambda overflows for {bad}")
-    m_parity, _, det_k, _ = _RULES[group]
-    s = int(s) % 2
     chk = verify_triple(E, T, Lam, (m_parity + s) % 2, T)  # D(m) parity for n = 2m: m + s
     expected = None if det_k is None else (-1.0) ** (s + det_k)
     # holds to rounding for finite entries; only one that under- or overflowed misses it
@@ -128,28 +123,14 @@ def solve_draws(group, draws, s):
 
 
 def _triple(group, params, s):
-    """(E, T, Lambda) of one draw of a group, its parameters validated as solve_draws says."""
-    if group not in GROUPS:
-        raise ValueError(
-            f"unknown group {group!r}: only the beta_m = 2 groups "
-            f"{GROUPS} are classified (beta_m > 2 is not supported)"
-        )
-    m_parity, s_parities, _, kinds = _RULES[group]
-    s = int(s) % 2
-    if s not in s_parities:
-        raise InfeasibleGroupError(
-            f"{group} is infeasible for s parity {s}; the groups for m parity "
-            f"{m_parity} and s parity {s} are {admissible_groups(m_parity, s)}"
-        )
+    """(E, T, Lambda) of one draw for s parity s, its parameters validated as solve_draws says."""
+    kinds = _RULES[group][3]
     for key in params:
         if key not in kinds:
             raise ValueError(
                 f"group {group} has no parameter {key!r}; its parameters are {list(kinds)}"
             )
-    p = {
-        key: _sign(params, group, key) if kind == "sign" else _param(params, group, key, kind)
-        for key, kind in kinds.items()
-    }
+    p = {key: _param(params, group, key, kind) for key, kind in kinds.items()}
     nonzero = [key for key, kind in kinds.items() if kind == "nonzero"]
     if any(p[key] == 0 for key in nonzero):
         raise InfeasibleGroupError(f"{group} needs " + " and ".join(f"{k} != 0" for k in nonzero))
@@ -211,7 +192,7 @@ _DRAWS = {
 
 
 def random_params(group, s, rng):
-    """A feasible draw for solve_group: by kind, but S2.2.2's E22 and lam12 as it admits."""
+    """A feasible draw for solve_draws: by kind, but S2.2.2's E22 and lam12 as it admits."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     if group != "S2.2.2":

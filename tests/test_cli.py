@@ -457,9 +457,12 @@ def test_non_finite_embedded_torus_is_a_usage_error(capsys, R):
         # g_vv = r^2 = 1e-320 is subnormal
         ["verify", "--suite", "core", "--metric", "embedded-torus", "--grid", "8", "--R", "2",
          "--r", "1e-160"],
+        # every factor is normal, but star's degree-1 coefficient sqrt|g| / g_uu = 1.2e-308 is not
+        ["torus2", "--mode", "embedded", "--grid", "6", "--R", "1.3e154", "--r", "1.6e-154"],
     ],
     ids=" ".join,
 )
+@pytest.mark.filterwarnings("error")  # the refusal computes under errstate: no RuntimeWarning
 def test_degenerate_embedded_metric_is_a_usage_error(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -467,6 +470,22 @@ def test_degenerate_embedded_metric_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     R, r = float(argv[-3]), float(argv[-1])
     assert "error: degenerate metric" in captured.err and f"(R={R}, r={r})" in captured.err
+
+
+def test_a_failed_fast_diagonalization_is_a_failed_green_solve(capsys, monkeypatch):
+    # LinAlgError is a ValueError, which main reports as a usage error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = cli.main(["verify", "--suite", "decompose", "--metric", "embedded-torus", "--grid", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: fast diagonalization: Eigenvalues did not converge\n"
+    doc = json.loads(captured.out, parse_constant=lambda token: pytest.fail(f"{token} in a report"))
+    assert doc["checks"] == [
+        {"name": "green_solve", "residual": None, "tolerance": calculus.GREEN_TOL, "pass": False}
+    ]
 
 
 def test_verify_core_dim_1_reports_adjointness_only(capsys):
@@ -701,9 +720,9 @@ def test_presets_are_compact(t2_flat, t4_mink):
     basis2 = cohomology.build_basis(t4_mink, 2)
     N = t4_mink.shape[1]
     shapes = {"topological": (6, 1, 1, 1, 1), "exact": (6, 1, N, 1, 1), "mixed": (6, 1, N, 1, 1)}
-    presets = [fields.em_preset(name, t4_mink, basis2) for name in shapes]
+    presets = [fields.em_preset(name, basis2, None) for name in shapes]
     assert [F.values.shape for F in presets] == list(shapes.values())
-    phi = fields.mixed_t2(t2_flat, cohomology.build_basis(t2_flat, 1))
+    phi = fields.mixed_t2(cohomology.build_basis(t2_flat, 1))
     assert phi.values.shape == (2, t2_flat.shape[0], 1)
     for form in presets + [phi]:
         with pytest.raises(ValueError, match="read-only"):

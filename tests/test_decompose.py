@@ -46,7 +46,7 @@ def test_basis_element_decomposition(setup):
 
 def test_constructed_mixed_form(setup):
     grid, basis, E, P, T = setup
-    phi = fields.mixed_t2(grid, basis)
+    phi = fields.mixed_t2(basis)
     dec = hodge_decompose(phi, basis)
     assert np.allclose(dec.u, [3.0, 4.0], atol=1e-10)
     # exact part recovered: d(alpha) = cos(u) du
@@ -121,8 +121,8 @@ def test_norm_budget_worked_case(setup):
     dec = hodge_decompose(phi, basis)
     v = dual_decompose(phi, basis)
     nb = norm_decompose(phi, dec, v, E, P)
-    assert abs(nb.topological_term - 25.0) < 1e-10
-    assert abs(nb.direct_norm - 25.0) < 1e-10
+    assert abs(nb.topological - 25.0) < 1e-10
+    assert abs(nb.direct - 25.0) < 1e-10
     assert nb.budget_error < 1e-10
 
 
@@ -132,8 +132,8 @@ def test_norm_budget_exact_form(setup):
     dec = hodge_decompose(phi, basis)
     v = dual_decompose(phi, basis)
     nb = norm_decompose(phi, dec, v, E, P)
-    assert abs(nb.topological_term) < 1e-10
-    assert abs(nb.exact_term - nb.direct_norm) < 1e-8 * max(1.0, abs(nb.direct_norm))
+    assert abs(nb.topological) < 1e-10
+    assert abs(nb.exact - nb.direct) < 1e-8 * max(1.0, abs(nb.direct))
 
 
 def test_norm_budget_random(setup):
@@ -318,9 +318,9 @@ def check_norm_terms(grid, p, seed):
     phi = random_form(grid, p, seed)
     dec = hodge_decompose(phi, basis)
     nb = norm_decompose(phi, dec, dual_decompose(phi, basis), basis.E, basis.P)
-    bound = 1e-12 * max(1.0, abs(nb.direct_norm))
+    bound = 1e-12 * max(1.0, abs(nb.direct))
     for name, value in paper_norm_terms(phi, dec).items():
-        term = nb.exact_term if name == "exact" else nb.coexact_term
+        term = nb.exact if name == "exact" else nb.coexact
         assert abs(term - value) <= bound, (name, term, value)
     return nb
 

@@ -34,7 +34,7 @@ def test_assemble_rejects_wrong_grid(t2_flat):
 
 def test_charges_worked_case(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("topological", grid, basis2)
+    F = fields.em_preset("topological", basis2, None)
     cs = charges(F, basis2)
     comps = grid.components_of_degree(2)
     i01, i23 = comps.index((0, 1)), comps.index((2, 3))
@@ -48,9 +48,7 @@ def test_charges_worked_case(setup):
 
 def test_charges_two_classes(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset(
-        "topological", grid, basis2, charge_list=[(1.0, (0, 1)), (2.0, (2, 3))]
-    )
+    F = fields.em_preset("topological", basis2, [(1.0, (0, 1)), (2.0, (2, 3))])
     cs = charges(F, basis2)
     comps = grid.components_of_degree(2)
     i01, i23 = comps.index((0, 1)), comps.index((2, 3))
@@ -61,7 +59,7 @@ def test_charges_two_classes(setup):
 
 def test_charges_of_exact_field_vanish(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("exact", grid, basis2)
+    F = fields.em_preset("exact", basis2, None)
     cs = charges(F, basis2)
     assert float(np.max(np.abs(cs.qM))) < 1e-10
     assert float(np.max(np.abs(cs.qE))) < 1e-10
@@ -69,7 +67,7 @@ def test_charges_of_exact_field_vanish(setup):
 
 def test_current_continuity(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("mixed", grid, basis2)
+    F = fields.em_preset("mixed", basis2, None)
     JE, JM = currents(F)
     scale = max(F.norm_inf(), 1.0)
     assert calculus.delta(JE).norm_inf() / scale < 1e-8
@@ -78,7 +76,7 @@ def test_current_continuity(setup):
 
 def test_potentials_cohomological_field(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("topological", grid, basis2)
+    F = fields.em_preset("topological", basis2, None)
     AE, AM, dec = potentials(F, basis2)
     assert AE.norm_inf() < 1e-10
     assert AM.norm_inf() < 1e-10
@@ -87,7 +85,7 @@ def test_potentials_cohomological_field(setup):
 
 def test_potentials_reconstruct_exact_field(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("exact", grid, basis2)
+    F = fields.em_preset("exact", basis2, None)
     AE, AM, dec = potentials(F, basis2)
     assert dec.reconstruction_error <= 1e-7
     assert float(np.max(np.abs(dec.u))) < 1e-10
@@ -95,8 +93,8 @@ def test_potentials_reconstruct_exact_field(setup):
 
 def test_potentials_mixed_linearity(setup):
     grid, basis2, E2, P, T2 = setup
-    Fm = fields.em_preset("mixed", grid, basis2)
-    Fe = fields.em_preset("exact", grid, basis2)
+    Fm = fields.em_preset("mixed", basis2, None)
+    Fe = fields.em_preset("exact", basis2, None)
     AEm, AMm, decm = potentials(Fm, basis2)
     AEe, AMe, dece = potentials(Fe, basis2)
     assert (AEm - AEe).norm_inf() < 1e-8
@@ -132,7 +130,7 @@ def test_magnetic_potential_rewrites_coexact_part(setup):
 
 def test_charge_relations_worked_case(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("topological", grid, basis2)
+    F = fields.em_preset("topological", basis2, None)
     cs = charges(F, basis2)
     res = charge_relations(cs.qM, cs.qE, T2)
     assert res["max"] <= 1e-10
@@ -140,44 +138,44 @@ def test_charge_relations_worked_case(setup):
 
 def test_action_worked_case(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("topological", grid, basis2)
+    F = fields.em_preset("topological", basis2, None)
     cs = charges(F, basis2)
     JE, JM = currents(F)
     AE, AM, _ = potentials(F, basis2)
     br = action(F, AE, AM, JE, JM, cs, E2, P)
-    assert abs(br.quantized_term - 1.0) < 1e-10  # S_d = -sum eps qM qE = 1
-    assert abs(br.electric_term) < 1e-10 and abs(br.magnetic_term) < 1e-10
+    assert abs(br.quantized - 1.0) < 1e-10  # S_d = -sum eps qM qE = 1
+    assert abs(br.electric) < 1e-10 and abs(br.magnetic) < 1e-10
     assert abs(br.total - 1.0) < 1e-10
     assert br.cross_check_residual < 1e-10
 
 
 def test_action_scales_quadratically(setup):
     grid, basis2, E2, P, T2 = setup
-    F1 = fields.em_preset("topological", grid, basis2, charge_list=[(1.0, (0, 1))])
-    F2 = fields.em_preset("topological", grid, basis2, charge_list=[(2.0, (0, 1))])
+    F1 = fields.em_preset("topological", basis2, [(1.0, (0, 1))])
+    F2 = fields.em_preset("topological", basis2, [(2.0, (0, 1))])
     outs = []
     for F in (F1, F2):
         cs = charges(F, basis2)
         JE, JM = currents(F)
         AE, AM, _ = potentials(F, basis2)
-        outs.append(action(F, AE, AM, JE, JM, cs, E2, P).quantized_term)
+        outs.append(action(F, AE, AM, JE, JM, cs, E2, P).quantized)
     assert abs(outs[1] - 4.0 * outs[0]) < 1e-10
 
 
 def test_action_of_exact_field(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("exact", grid, basis2)
+    F = fields.em_preset("exact", basis2, None)
     cs = charges(F, basis2)
     JE, JM = currents(F)
     AE, AM, _ = potentials(F, basis2)
     br = action(F, AE, AM, JE, JM, cs, E2, P)
-    assert abs(br.quantized_term) < 1e-10
+    assert abs(br.quantized) < 1e-10
     assert br.cross_check_residual < 1e-7
 
 
 def test_maxwell_residuals(setup):
     grid, basis2, E2, P, T2 = setup
-    F = fields.em_preset("mixed", grid, basis2)
+    F = fields.em_preset("mixed", basis2, None)
     JE, JM = currents(F)
     res = maxwell_residuals(F, JE, JM)
     assert res["electric"] <= 1e-7

@@ -21,7 +21,6 @@ UNREFERENCED = {
     "mesh.PeriodicGrid.volume_form": "reference volume form of the mesh and calculus tests",
     "mesh.integrate_manifold": "reference integral that tests compare wedge_integral with",
     "mesh.wedge": "reference product that tests compare wedge_integral with",
-    "taxonomy.solve_group": "timed by fdbench's tracer and checked by its selftest",
 }
 
 

@@ -18,7 +18,6 @@ MODULES = ("calculus", "cli", "cohomology", "decompose", "em", "fields", "mesh",
 
 SETTABLE = [
     "cli.main(argv)",
-    "fields.em_preset(charge_list)",
     "mesh.GridSpec.R",
     "mesh.GridSpec.metric",
     "mesh.GridSpec.r",

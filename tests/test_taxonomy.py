@@ -16,7 +16,6 @@ from formdec.taxonomy import (
     admissible_groups,
     random_params,
     solve_draws,
-    solve_group,
 )
 
 ADMISSIBLE = [(g, s) for g in GROUPS for s in (0, 1) if g in admissible_groups(M_PARITY[g], s)]
@@ -37,7 +36,7 @@ def test_admissible_groups():
 
 
 def test_rotation_family_example():
-    sol = solve_group("S2.1.3", {"E12": 1, "lam11": 1, "lam12": 0}, s=0)
+    sol = solve_draws("S2.1.3", [{"E12": 1, "lam11": 1, "lam12": 0}], 0)[0]
     assert np.allclose(sol.T, [[0, 1], [-1, 0]])
     assert np.allclose(sol.E, [[0, 1], [-1, 0]])
     assert np.allclose(sol.Lambda, np.eye(2))
@@ -46,13 +45,13 @@ def test_rotation_family_example():
 
 
 def test_antidiagonal_group_odd_s():
-    sol = solve_group("S2.1.1", {"E12": 1, "lam11": 1}, s=1)
+    sol = solve_draws("S2.1.1", [{"E12": 1, "lam11": 1}], 1)[0]
     assert abs(sol.Lambda[1, 1] + 1.0) < 1e-14  # lam22 forced to -1
     assert abs(sol.det_T - 1.0) < 1e-14
 
 
 def test_forced_entries_even_s():
-    sol = solve_group("S2.1.1", {"E12": 2, "lam11": 4}, s=0)
+    sol = solve_draws("S2.1.1", [{"E12": 2, "lam11": 4}], 0)[0]
     assert abs(sol.Lambda[1, 1] - 1.0) < 1e-14  # lam22 = E12^2/lam11
     assert abs(sol.det_T + 1.0) < 1e-14
 
@@ -62,10 +61,10 @@ def test_odd_s_infeasible_groups():
     for group, s in itertools.product(GROUPS, range(4)):
         params = random_params(group, s, rng)
         if group in admissible_groups(M_PARITY[group], s):
-            assert solve_group(group, params, s=s).constraints_residual <= 1e-12
+            assert solve_draws(group, [params], s)[0].constraints_residual <= 1e-12
         else:
             with pytest.raises(InfeasibleGroupError, match=f"{group} is infeasible for s parity 1"):
-                solve_group(group, params, s=s)
+                solve_draws(group, [params], s)[0]
 
 
 @pytest.mark.parametrize(
@@ -82,7 +81,7 @@ def test_odd_s_infeasible_groups():
 )
 def test_non_finite_parameters_are_refused(group, params, key):
     with pytest.raises(ValueError, match=f"group {group} needs a finite number for '{key}'"):
-        solve_group(group, params, s=0)
+        solve_draws(group, [params], 0)[0]
 
 
 @pytest.mark.parametrize(
@@ -97,31 +96,31 @@ def test_non_finite_parameters_are_refused(group, params, key):
 )
 def test_signs_must_be_plus_or_minus_one(group, params, key):
     with pytest.raises(InfeasibleGroupError, match=f"group {group} needs the parameter '{key}'"):
-        solve_group(group, params, s=0)
+        solve_draws(group, [params], 0)[0]
     for sign in (1, -1, 1.0, -1.0):
-        assert solve_group(group, {**params, key: sign}, s=0).constraints_residual <= 1e-12
+        assert solve_draws(group, [{**params, key: sign}], 0)[0].constraints_residual <= 1e-12
 
 
 def test_mixed_group_infeasible_parameters():
     # s even with lam12^2 > E11*E22 makes the square root negative
     with pytest.raises(InfeasibleGroupError) as exc:
-        solve_group("S2.2.2", {"E11": 1, "E22": 1, "lam12": 2}, s=0)
+        solve_draws("S2.2.2", [{"E11": 1, "E22": 1, "lam12": 2}], 0)[0]
     assert "< 0" in str(exc.value)
 
 
 def test_degenerate_parameters_rejected():
     with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.1.1", {"E12": 0, "lam11": 1}, s=0)
+        solve_draws("S2.1.1", [{"E12": 0, "lam11": 1}], 0)[0]
     with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.1.3", {"E12": 1, "lam11": 0}, s=0)
+        solve_draws("S2.1.3", [{"E12": 1, "lam11": 0}], 0)[0]
     with pytest.raises(InfeasibleGroupError):
-        solve_group("S2.2.1", {"E11": 1, "E22": 0}, s=0)
+        solve_draws("S2.2.1", [{"E11": 1, "E22": 0}], 0)[0]
 
 
 def test_unknown_parameter_refused():
     # a misspelled key is not read as its default: lam21 would leave lam12 at 0
     with pytest.raises(ValueError) as exc:
-        solve_group("S2.1.3", {"E12": 1, "lam11": 1, "lam21": 5}, s=0)
+        solve_draws("S2.1.3", [{"E12": 1, "lam11": 1, "lam21": 5}], 0)[0]
     assert type(exc.value) is ValueError
     assert str(exc.value) == (
         "group S2.1.3 has no parameter 'lam21'; its parameters are ['E12', 'lam11', 'lam12']"
@@ -136,20 +135,20 @@ def test_rules_row_is_the_parameter_spec(group):
         left_out = {k: v for k, v in params.items() if k != key}
         if kind == "nonzero":
             with pytest.raises(ValueError, match=f"needs the parameter '{key}'") as exc:
-                solve_group(group, left_out, s=0)
+                solve_draws(group, [left_out], 0)[0]
             assert type(exc.value) is ValueError
             with pytest.raises(InfeasibleGroupError, match=f"{key} != 0"):
-                solve_group(group, {**params, key: 0}, s=0)
+                solve_draws(group, [{**params, key: 0}], 0)[0]
         elif kind == "sign":
             for sign in (0, 2):
                 with pytest.raises(InfeasibleGroupError, match=f"'{key}' = \\+1 or -1"):
-                    solve_group(group, {**params, key: sign}, s=0)
+                    solve_draws(group, [{**params, key: sign}], 0)[0]
             for sign in (1, -1, 1.0, -1.0):
-                assert solve_group(group, {**params, key: sign}, s=0).constraints_residual <= 1e-12
+                assert solve_draws(group, [{**params, key: sign}], 0)[0].constraints_residual <= 1e-12
         else:
             assert kind == "real"
-            a = solve_group(group, left_out, s=0)
-            b = solve_group(group, {**params, key: 0}, s=0)
+            a = solve_draws(group, [left_out], 0)[0]
+            b = solve_draws(group, [{**params, key: 0}], 0)[0]
             for M in ("E", "T", "Lambda"):
                 assert np.array_equal(getattr(a, M), getattr(b, M)), (key, M)
     rng = np.random.default_rng(4)
@@ -160,7 +159,7 @@ def test_rules_row_is_the_parameter_spec(group):
 
 def test_unknown_group_refused():
     with pytest.raises(ValueError):
-        solve_group("S9.9.9", {}, s=0)
+        solve_draws("S9.9.9", [{}], 0)[0]
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -172,7 +171,7 @@ def test_random_draw_battery(group, s):
     rng = np.random.default_rng(10 * GROUPS.index(group) + s)
     dets = set()
     for _ in range(100):
-        sol = solve_group(group, random_params(group, s, rng), s=s)
+        sol = solve_draws(group, [random_params(group, s, rng)], s)[0]
         assert sol.constraints_residual <= 1e-12
         dets.add(round(sol.det_T, 6))
     if group == "S2.2.1":
@@ -195,7 +194,7 @@ def test_random_draw_battery(group, s):
 )
 def test_determinant_table(group, s, expected):
     rng = np.random.default_rng(99)
-    sol = solve_group(group, random_params(group, s, rng), s=s)
+    sol = solve_draws(group, [random_params(group, s, rng)], s)[0]
     assert abs(sol.det_T - expected) < 1e-12
 
 
@@ -216,11 +215,11 @@ def bits(x):
 @given(case=st.sampled_from(ADMISSIBLE), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12))
 def test_stacked_check_matches_each_draw(case, seed, count):
     # one verify_triple on the stack gives each draw's CheckReport bit for bit,
-    # and solve_draws each draw's solve_group
+    # and solve_draws of the stack each draw's solve_draws of one
     group, s = case
     rng = np.random.default_rng(seed)
     draws = [random_params(group, s, rng) for _ in range(count)]
-    sols = [solve_group(group, params, s=s) for params in draws]
+    sols = [solve_draws(group, [params], s)[0] for params in draws]
     D = (M_PARITY[group] + s) % 2
     E, T, Lam = (np.stack([getattr(sol, M) for sol in sols]) for M in ("E", "T", "Lambda"))
     stacked = verify_triple(E, T, Lam, D, T)
@@ -246,10 +245,10 @@ def test_stacked_check_matches_each_draw(case, seed, count):
     ],
 )
 def test_solve_draws_names_the_draw_that_failed(group, bad, error, match):
-    # the error solve_group gives for that draw alone: the stacked checks
+    # the error solve_draws gives for that draw alone: the stacked checks
     # (overflow, det T) find it among the others and name its parameters
     with pytest.raises(error, match=match) as one:
-        solve_group(group, bad, s=0)
+        solve_draws(group, [bad], 0)[0]
     rng = np.random.default_rng(8)
     draws = [random_params(group, 0, rng) for _ in range(5)]
     draws.insert(3, bad)
