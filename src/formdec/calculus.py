@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DiscreteForm, _complement_signs, merge_sign, wedge_integral
+from .mesh import DiscreteForm, _complement_signs, _wedge_sums, merge_sign
 
 DEFLATION_TOL = 1e-10
 GREEN_TOL = 1e-10  # largest relative residual a Green solve may leave
@@ -194,15 +194,11 @@ def _d(values, p, grid, deriv):
     return out
 
 
-def _star(values, p, grid, scale=1.0, out=None):
-    """scale * star of the stacked components of a p-form, or of their spectra.
+def _star_coeffs(grid, p):
+    """The stacked coefficients of star on degree-p components, cached on the grid.
 
-    One multiply by the stacked coefficients of star, built once per degree
-    and cached on the grid (scale multiplies them after the lookup), written
-    to `out` (a new array of their broadcast shape when None; `values`
-    itself to work in place) and returned reversed along the component
-    axis: the complements of the sorted degree-p tuples are the sorted
-    degree-(n-p) tuples in reverse order.
+    Row I is sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}(signature_i / g_ii),
+    broadcastable against the grid; _star and pairings both read it here.
     """
     key = ("star", p)
     if key not in grid._symbol_cache:
@@ -213,7 +209,20 @@ def _star(values, p, grid, scale=1.0, out=None):
                 coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
             coeffs.append(coeff)
         grid._symbol_cache[key] = _read_only(np.stack(coeffs))
-    coeffs = grid._symbol_cache[key] * scale
+    return grid._symbol_cache[key]
+
+
+def _star(values, p, grid, scale=1.0, out=None):
+    """scale * star of the stacked components of a p-form, or of their spectra.
+
+    One multiply by the stacked coefficients of star (_star_coeffs; scale
+    multiplies them after the lookup), written to `out` (a new array of
+    their broadcast shape when None; `values` itself to work in place) and
+    returned reversed along the component axis: the complements of the
+    sorted degree-p tuples are the sorted degree-(n-p) tuples in reverse
+    order.
+    """
+    coeffs = _star_coeffs(grid, p) * scale
     if out is None:
         out = np.empty(np.broadcast_shapes(values.shape, coeffs.shape), values.dtype)[::-1]
     np.multiply(values, coeffs, out=out)
@@ -241,10 +250,27 @@ def laplacian(f: DiscreteForm) -> DiscreteForm:
 
 
 def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
-    """Bilinear integral (a, b) = int_M a wedge star(b); symmetric."""
-    if a.degree != b.degree:
-        raise ValueError("pairing needs forms of equal degree")
-    return wedge_integral(a, star(b))
+    """Bilinear integral (a, b) = int_M a wedge star(b); symmetric.
+
+    pairings([a], b): bit-equal to wedge_integral(a, star(b)) without a
+    copy of star(b).
+    """
+    return pairings([a], b)[0]
+
+
+def pairings(forms, b: DiscreteForm) -> list:
+    """[pairing(a, b) for a in forms], with star(b) made one component at a time.
+
+    Each component of b is multiplied by its row of _star_coeffs, paired
+    with the matching component of every form and dropped, so no copy of
+    star(b) is kept.  The products and sums are those of
+    wedge_integral(a, star(b)), in the same order, so each result is
+    bit-equal to it.
+    """
+    for a in forms:
+        b._check_compatible(a)
+    rows = zip(b.values, _star_coeffs(b.grid, b.degree))
+    return _wedge_sums(forms, (comp * coeff for comp, coeff in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +342,27 @@ def _rfft_symbols(grid):
 
 
 def _rfftn(values, grid):
-    return np.fft.rfftn(values, axes=range(1, grid.dim + 1))
+    """rfftn of the stacked components over the grid axes, every axis in one complex array."""
+    shape = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
+    return np.fft.rfftn(values, axes=range(1, grid.dim + 1), out=np.empty(shape, complex))
 
 
 def _irfftn(spectra, shape):
-    return np.fft.irfftn(spectra, s=shape, axes=range(1, len(shape) + 1))
+    """irfftn of stacked spectra to the grid-axis shape `shape`; consumes `spectra`.
+
+    The complex axes are inverted in place in `spectra`, in irfftn's order,
+    and only the real output of the last axis is allocated.
+    """
+    for axis in range(1, len(shape)):
+        np.fft.ifft(spectra, n=shape[axis - 1], axis=axis, out=spectra)
+    return np.fft.irfft(spectra, n=shape[-1], axis=len(shape))
 
 
 def _green_form(grid, degree, spectra, green, shape):
     """G(source) as a form, from the stacked rfftn spectra of the source.
 
     The spectra are multiplied by G in place, then inverted to the grid-axis
-    shape `shape` in one irfftn.
+    shape `shape` in one _irfftn, which takes them over.
     """
     spectra *= green
     return DiscreteForm(grid, degree, _irfftn(spectra, shape))
@@ -399,7 +434,8 @@ def _curved_symbols(grid):
     for every mode at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     Returns (V, the masked inverse of sigma_k^2 + lambda_j in rfft-along-u
     layout, its deflated count, and the constant-mode weight sum sqrt|g|).
-    An eigh that does not converge raises GreenSolveError with a NaN residual.
+    A matrix that overflows, or an eigh that does not converge, raises
+    GreenSolveError with a NaN residual.
     """
     cache = grid._symbol_cache
     if "curved" not in cache:
@@ -409,8 +445,13 @@ def _curved_symbols(grid):
         Dt = partial(np.eye(grid.shape[1]), 1, grid)
         K = (Dt * (sqrt_g / g_vv)) @ Dt.T
         a_isqrt = np.sqrt(g_uu / sqrt_g)
+        with np.errstate(over="ignore"):  # an overflow is the failed check below
+            scaled = a_isqrt[:, None] * K * a_isqrt
+        if not np.all(np.isfinite(scaled)):
+            message = "fast diagonalization: A^-1/2 K A^-1/2 overflows"
+            raise GreenSolveError(message, math.nan, GREEN_TOL)
         try:
-            lam, W = np.linalg.eigh(a_isqrt[:, None] * K * a_isqrt)
+            lam, W = np.linalg.eigh(scaled)
         except np.linalg.LinAlgError as exc:  # a failed check, not bad input
             raise GreenSolveError(f"fast diagonalization: {exc}", math.nan, GREEN_TOL) from exc
         V = a_isqrt[:, None] * W

@@ -244,8 +244,12 @@ class DiscreteForm:
             raise ValueError("forms must live on the same grid with equal degree")
 
     def norm_inf(self):
-        """Largest |component| over the grid; NaN if any entry is NaN."""
-        return float(np.max(np.abs(self.values)))
+        """Largest |component| over the grid; NaN if any entry is NaN.
+
+        Read as max(max x, -min x) without an |x| copy; np.maximum keeps a
+        NaN, and abs clears the sign of a NaN or of the -0.0 of a zero form.
+        """
+        return abs(float(np.maximum(np.max(self.values), -np.min(self.values))))
 
 
 def linear_combination(forms, coeffs):
@@ -253,14 +257,24 @@ def linear_combination(forms, coeffs):
 
     The array takes the broadcast shape of the terms, so compact terms give
     a compact form.  The terms are added in the given order: each entry is
-    bit-equal to adding them one at a time to grid.zeros(degree).
+    bit-equal to adding them one at a time to grid.zeros(degree).  A term
+    with coefficient 1.0 is added as it is (x * 1.0 is x in IEEE
+    arithmetic); the others are multiplied into one scratch array of the
+    full shape, allocated at the first such full-shape term, or into a new
+    array of their own compact shape.
     """
     for f in forms:
         forms[0]._check_compatible(f)
     out = np.zeros(np.broadcast_shapes(*(f.values.shape for f in forms)))
-    term = np.empty(out.shape)
+    term = None
     for f, c in zip(forms, coeffs, strict=True):
-        out += np.multiply(f.values, c, out=term if f.values.shape == term.shape else None)
+        if c == 1.0:
+            out += f.values
+        elif f.values.shape == out.shape:
+            term = np.empty(out.shape) if term is None else term
+            out += np.multiply(f.values, c, out=term)
+        else:
+            out += f.values * c
     return DiscreteForm(forms[0].grid, forms[0].degree, out)
 
 
@@ -313,11 +327,29 @@ def wedge_integral(a: DiscreteForm, b: DiscreteForm) -> float:
     n = a.grid.dim
     if a.degree + b.degree != n:
         raise ValueError(f"wedge_integral needs degrees summing to {n}")
-    total = 0.0
-    for sign, fa, fb in zip(_complement_signs(n, a.degree), a.values, b.values[::-1]):
-        product = _mean_along(fa, fb.shape) * _mean_along(fb, fa.shape)
-        total += sign * _grid_sum(product, a.grid)
-    return total * a.grid.cell_volume
+    return _wedge_sums([a], b.values[::-1])[0]
+
+
+def _wedge_sums(forms, others):
+    """int_M f wedge g for each f of `forms`, all of one degree p on one grid.
+
+    `others` yields the components of g, each complementary to the sorted
+    degree-p tuple I in the order of those tuples, so a caller can make one
+    component at a time.  Each form gets merge_sign(I, Ic) * sum(f_I * g_Ic)
+    added in that order, with the operands of each product first averaged
+    as in wedge_integral.
+    """
+    grid = forms[0].grid
+    signs = _complement_signs(grid.dim, forms[0].degree)
+    totals = [0.0] * len(forms)
+    # one flat zip: an enumerate around it would pin a component in zip's cached tuple
+    for sign, fb, *row in zip(signs, others, *(f.values for f in forms)):
+        for k, fa in enumerate(row):
+            # one expression: a named product would outlive its sum into the next one
+            totals[k] += sign * _grid_sum(
+                _mean_along(fa, fb.shape) * _mean_along(fb, fa.shape), grid
+            )
+    return [total * grid.cell_volume for total in totals]
 
 
 def _mean_along(arr, other_shape):

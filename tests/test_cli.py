@@ -488,6 +488,21 @@ def test_a_failed_fast_diagonalization_is_a_failed_green_solve(capsys, monkeypat
     ]
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_fast_diagonalization_is_a_failed_green_solve(capsys):
+    # g_uu / (g_vv h^2) near 1e400 overflows A^-1/2 K A^-1/2: the check
+    # fails before eigh, without a RuntimeWarning
+    argv = ["verify", "--suite", "decompose", "--metric", "embedded-torus", "--grid", "8"]
+    code = cli.main(argv + ["--R", "1e100", "--r", "1e-100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: fast diagonalization: A^-1/2 K A^-1/2 overflows\n"
+    doc = json.loads(captured.out, parse_constant=lambda token: pytest.fail(f"{token} in a report"))
+    assert doc["checks"] == [
+        {"name": "green_solve", "residual": None, "tolerance": calculus.GREEN_TOL, "pass": False}
+    ]
+
+
 def test_verify_core_dim_1_reports_adjointness_only(capsys):
     # d d and delta delta need a degree-2 form, which a circle does not have
     code, doc = run(capsys, ["verify", "--suite", "core", "--dim", "1", "--grid", "16"])

@@ -1,6 +1,7 @@
 import itertools
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,42 @@ def test_rules_row_is_the_parameter_spec(group):
     for s in range(4):
         if group in admissible_groups(M_PARITY[group], s):
             assert list(random_params(group, s, rng)) == list(kinds)
+
+
+def reference_params(group, s, rng):
+    """random_params with every sign drawn by rng.choice, the slower draw of the same stream."""
+    draws = {
+        "nonzero": lambda: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
+        "real": lambda: float(rng.uniform(-2, 2)),
+        "sign": lambda: int(rng.choice([-1, 1])),
+    }
+    if group != "S2.2.2":
+        return {key: draws[kind]() for key, kind in _RULES[group][3].items()}
+    E11 = draws["nonzero"]()
+    if s % 2:
+        E22 = -math.copysign(float(rng.uniform(0.5, 2.0)), E11)
+        lam12 = float(
+            rng.choice([-1.0, 1.0]) * math.sqrt(abs(E11 * E22)) * rng.uniform(1.0, 2.0)
+        )
+    else:
+        E22 = math.copysign(float(rng.uniform(0.5, 2.0)), E11)
+        lam12 = float(rng.uniform(-1.0, 1.0) * math.sqrt(abs(E11 * E22)))
+    return {"E11": E11, "E22": E22, "lam12": lam12, "sign": draws["sign"]()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    draws=st.lists(st.tuples(st.sampled_from(GROUPS), st.integers(0, 3)), min_size=1, max_size=8),
+)
+def test_random_params_draw_the_reference_stream(seed, draws):
+    # interleaved groups and s share one generator, so any drift in the
+    # stream shows in every later draw
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for group, s in draws:
+        got, ref = random_params(group, s, rng), reference_params(group, s, ref_rng)
+        assert repr(got) == repr(ref)
+        assert [type(x) for x in got.values()] == [type(x) for x in ref.values()]
 
 
 def test_unknown_group_refused():
