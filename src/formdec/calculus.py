@@ -3,19 +3,22 @@ Laplace-Beltrami operator, bilinear pairing, and a minimum-norm Green solver.
 
 star, d and delta = +-star d star are each written once (_star, _d,
 _delta), on the stacked components of a form, and run alike on grid values
-and on their real-FFT spectra.  Derivatives use periodic eighth-order
-central-difference stencils (coefficients c_j after Fornberg, Math. Comp.
-51, 1988), summed by parts: `partial` takes the first differences along
-the axis in one pass and applies the stencil to them as one matrix product
-with a cached band matrix, so an array constant along the axis has an
-exactly zero partial.  On flat metrics each stencil partial is circulant
-with Fourier symbol i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a h_a)/h_a
-(Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), cached per axis on
-the grid.  The Laplacian is then a convolution with the symbol sum_a s_a
-sigma_a^2, the same for every degree and component.  potentials gives the
-Hodge potentials G(delta phi) and G(d phi) on every metric, on flat ones as
-one real-FFT projection.  The curved metric (the embedded torus) depends on
-v alone, so its 0-form Green solve is direct: a real FFT along u and one
+and on their real-FFT spectra.  The metric reaches this module only
+through grid.star_coeffs, the coefficients of star that the grid builds
+once: star, pairings and the curved Green solve all read them.
+Derivatives use periodic eighth-order central-difference stencils
+(coefficients c_j after Fornberg, Math. Comp. 51, 1988), summed by parts:
+`partial` takes the first differences along the axis in one pass and
+applies the stencil to them as one matrix product with a cached band
+matrix, so an array constant along the axis has an exactly zero partial.
+On flat metrics each stencil partial is circulant with Fourier symbol
+i sigma_a, sigma_a = 2 sum_j c_j sin(j k_a h_a)/h_a (Trefethen, Spectral
+Methods in MATLAB, 2000, ch. 3), cached per axis on the grid.  The
+Laplacian is then a convolution with the symbol sum_a s_a sigma_a^2, the
+same for every degree and component.  potentials gives the Hodge
+potentials G(delta phi) and G(d phi) on every metric, on flat ones as one
+real-FFT projection.  The curved metric (the embedded torus) depends on v
+alone, so its 0-form Green solve is direct: a real FFT along u and one
 cached eigendecomposition along v diagonalize the stencil Laplacian (fast
 diagonalization), refined once against the stencil; top forms go through
 star.  Both Green operators divide by their symbol with one deflation rule
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DiscreteForm, _complement_signs, _wedge_sums, merge_sign
+from .mesh import DiscreteForm, _wedge_sums, merge_sign
 
 DEFLATION_TOL = 1e-10
 GREEN_TOL = 1e-10  # largest relative residual a Green solve may leave
@@ -160,8 +163,9 @@ def d(f: DiscreteForm) -> DiscreteForm:
 def star(f: DiscreteForm) -> DiscreteForm:
     """Hodge star: pointwise diagonal map for diagonal metrics.
 
-    Component I goes to the complementary tuple with coefficient
-    sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}(signature_i / g_ii).
+    Component I goes to the complementary tuple Ic times its row of
+    grid.star_coeffs[p], sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}
+    (signature_i / g_ii).
     """
     return DiscreteForm(f.grid, f.grid.dim - f.degree, _star(f.values, f.degree, f.grid))
 
@@ -194,35 +198,16 @@ def _d(values, p, grid, deriv):
     return out
 
 
-def _star_coeffs(grid, p):
-    """The stacked coefficients of star on degree-p components, cached on the grid.
-
-    Row I is sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}(signature_i / g_ii),
-    broadcastable against the grid; _star and pairings both read it here.
-    """
-    key = ("star", p)
-    if key not in grid._symbol_cache:
-        coeffs = []
-        for I, sign in zip(grid.components_of_degree(p), _complement_signs(grid.dim, p)):
-            coeff = sign * grid.sqrt_abs_g
-            for i in I:
-                coeff = coeff * (grid.signature[i] / grid.metric_diag[i])
-            coeffs.append(coeff)
-        grid._symbol_cache[key] = _read_only(np.stack(coeffs))
-    return grid._symbol_cache[key]
-
-
 def _star(values, p, grid, scale=1.0, out=None):
     """scale * star of the stacked components of a p-form, or of their spectra.
 
-    One multiply by the stacked coefficients of star (_star_coeffs; scale
-    multiplies them after the lookup), written to `out` (a new array of
-    their broadcast shape when None; `values` itself to work in place) and
-    returned reversed along the component axis: the complements of the
-    sorted degree-p tuples are the sorted degree-(n-p) tuples in reverse
-    order.
+    One multiply by grid.star_coeffs[p] (scale multiplies a copy of them),
+    written to `out` (a new array of their broadcast shape when None;
+    `values` itself to work in place) and returned reversed along the
+    component axis: the complements of the sorted degree-p tuples are the
+    sorted degree-(n-p) tuples in reverse order.
     """
-    coeffs = _star_coeffs(grid, p) * scale
+    coeffs = grid.star_coeffs[p] * scale
     if out is None:
         out = np.empty(np.broadcast_shapes(values.shape, coeffs.shape), values.dtype)[::-1]
     np.multiply(values, coeffs, out=out)
@@ -261,15 +246,15 @@ def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
 def pairings(forms, b: DiscreteForm) -> list:
     """[pairing(a, b) for a in forms], with star(b) made one component at a time.
 
-    Each component of b is multiplied by its row of _star_coeffs, paired
-    with the matching component of every form and dropped, so no copy of
-    star(b) is kept.  The products and sums are those of
+    Each component of b is multiplied by its row of grid.star_coeffs,
+    paired with the matching component of every form and dropped, so no
+    copy of star(b) is kept.  The products and sums are those of
     wedge_integral(a, star(b)), in the same order, so each result is
     bit-equal to it.
     """
     for a in forms:
         b._check_compatible(a)
-    rows = zip(b.values, _star_coeffs(b.grid, b.degree))
+    rows = zip(b.values, b.grid.star_coeffs[b.degree])
     return _wedge_sums(forms, (comp * coeff for comp, coeff in rows))
 
 
@@ -430,8 +415,10 @@ def _curved_symbols(grid):
     The embedded-torus metric depends on v alone, so sqrt|g| times the
     stencil Laplacian is sigma_k^2 A + K on u mode k, with A = diag(sqrt|g|
     / g_uu), K = D^t diag(sqrt|g| / g_vv) D and D the v-stencil matrix.
-    eigh of A^-1/2 K A^-1/2 gives V with V^t A V = I, V^t K V = diag(lambda)
-    for every mode at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    The weights of A and K are the star coefficients of du and dv, read as
+    the rows of |grid.star_coeffs[1]|.  eigh of A^-1/2 K A^-1/2 gives V
+    with V^t A V = I, V^t K V = diag(lambda) for every mode at once (Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964).
     Returns (V, the masked inverse of sigma_k^2 + lambda_j in rfft-along-u
     layout, its deflated count, and the constant-mode weight sum sqrt|g|).
     A matrix that overflows, or an eigh that does not converge, raises
@@ -439,12 +426,11 @@ def _curved_symbols(grid):
     """
     cache = grid._symbol_cache
     if "curved" not in cache:
-        g_uu, g_vv = grid.metric_diag[:, 0]
-        sqrt_g = grid.sqrt_abs_g[0]
+        A, weight_v = np.abs(grid.star_coeffs[1][:, 0])
         # the partial of the identity along its second axis is D^t
         Dt = partial(np.eye(grid.shape[1]), 1, grid)
-        K = (Dt * (sqrt_g / g_vv)) @ Dt.T
-        a_isqrt = np.sqrt(g_uu / sqrt_g)
+        K = (Dt * weight_v) @ Dt.T
+        a_isqrt = 1.0 / np.sqrt(A)
         with np.errstate(over="ignore"):  # an overflow is the failed check below
             scaled = a_isqrt[:, None] * K * a_isqrt
         if not np.all(np.isfinite(scaled)):

@@ -88,11 +88,16 @@ def dual_decompose(phi, basis):
     """Dual cycle integrals v_a = int_{z^{(n-p)}_a} star(phi).
 
     They are the harmonic coefficients of star(phi) in the dual of the
-    degree-p basis.
+    degree-p basis, as basis.dual.coefficients(star(phi)) reads them:
+    v solves dual.E^t v = W with W_b = int star(phi) wedge gamma_b
+    = (-1)^{p(n-p)} (gamma_b, phi).  calculus.pairings makes star(phi) one
+    component at a time, so no copy of it is kept.
     """
     if basis.degree != phi.degree:
         raise ValueError("basis degree must match the form degree")
-    return basis.dual.coefficients(calculus.star(phi))
+    p, n = phi.degree, phi.grid.dim
+    W = np.array(calculus.pairings(basis.gammas, phi)) * (-1.0) ** (p * (n - p))
+    return np.linalg.solve(basis.dual.E.T, W)
 
 
 def decomposition_residuals(phi, dec, basis):

@@ -77,18 +77,13 @@ def potentials(F, basis2):
 
 
 def charge_relations(qM, qE, T2):
-    """Residuals of qM = -T^t qE, qE = T^t qM, and the quadrature form
-    q = i T^t q with q = qM + i qE.
+    """Residuals of qM = -T^t qE ("forward"), qE = T^t qM ("reciprocal"), and
+    the quadrature form q = i T^t q with q = qM + i qE, plus their "max".
 
-    These are the cross relations of F at p = 2, where D(2) = 4 + s is odd.
+    These are the cross relations of F at p = 2, where D(2) = 4 + s is odd:
+    decompose.cross_relation_check with u = qM and v = qE.
     """
-    rel = decompose.cross_relation_check(qM, qE, T2, 1, T_dual=T2)
-    return {
-        "magnetic_from_electric": rel["forward"],
-        "electric_from_magnetic": rel["reciprocal"],
-        "quadrature": rel["quadrature"],
-        "max": rel["max"],
-    }
+    return decompose.cross_relation_check(qM, qE, T2, 1, T_dual=T2)
 
 
 def action(F, AE, AM, JE, JM, charge_set, E2, P):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,13 @@ def _complement_signs(n, p):
     return tuple(merge_sign(I, tuple(k for k in range(n) if k not in I)) for I in keys)
 
 
+def _whole(x, name):
+    """x as an int; a value that is not a whole number (64.9, "64", NaN) raises ValueError."""
+    if not (isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"{name} must be whole numbers, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Shape, periods, metric signature and metric preset of an n-torus lattice."""
@@ -57,11 +65,12 @@ class GridSpec:
     r: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _whole(self.dim, "dim"))
         if not 1 <= self.dim <= 4:
             raise ValueError(f"dim must be in 1..4, got {self.dim}")
-        object.__setattr__(self, "points", tuple(int(N) for N in self.points))
+        for name in ("points", "signature"):
+            object.__setattr__(self, name, tuple(_whole(k, name) for k in getattr(self, name)))
         object.__setattr__(self, "periods", tuple(float(L) for L in self.periods))
-        object.__setattr__(self, "signature", tuple(int(s) for s in self.signature))
         if len(self.points) != self.dim or len(self.periods) != self.dim:
             raise ValueError("points and periods must have one entry per axis")
         if len(self.signature) != self.dim:
@@ -105,6 +114,14 @@ class PeriodicGrid:
     constant, and broadcast against the grid shape: `metric_diag` has shape
     (n, 1, ..., 1) on flat grids and (2, 1, N_v) on the embedded torus, whose
     metric varies along v only; `sqrt_abs_g` drops the leading axis.
+
+    `star_coeffs[p]` stacks the coefficients of the Hodge star on degree-p
+    components, one row per sorted tuple I in the order of
+    components_of_degree(p): sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}
+    (signature_i / g_ii), broadcastable like `sqrt_abs_g`.  They are the
+    only way the metric reaches calculus.  A grid whose scale factors,
+    sqrt|g| or |star coefficients| are not finite normal positive floats is
+    refused.  All of these arrays are read-only.
     """
 
     def __init__(self, spec: GridSpec):
@@ -116,13 +133,14 @@ class PeriodicGrid:
         axes_1d = [np.arange(N) * h for N, h in zip(spec.points, self.steps)]
         self.coords = np.meshgrid(*axes_1d, indexing="ij", sparse=True)
         self.metric_diag = self._build_metric()
+        n = self.dim
         with np.errstate(all="ignore"):  # an overflow, 0 or NaN is refused below
             self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
-            # |coefficients| of star on every degree, in _star's order of operations
-            stars, inverse = {(): self.sqrt_abs_g}, 1.0 / self.metric_diag
-            for I in itertools.chain(*map(self.components_of_degree, range(1, self.dim + 1))):
-                stars[I] = stars[I[:-1]] * inverse[I[-1]]
-        factors = np.stack([*self.metric_diag, *stars.values()])
+            # sqrt|g| * prod_{i in I} s_i / g_ii for every I, multiplied in the order of I
+            stars = {(): self.sqrt_abs_g}
+            for I in itertools.chain(*map(self.components_of_degree, range(1, n + 1))):
+                stars[I] = stars[I[:-1]] * (self.signature[I[-1]] / self.metric_diag[I[-1]])
+        factors = np.abs(np.stack([*self.metric_diag, *stars.values()]))
         tiny = np.finfo(float).tiny  # a subnormal factor has lost its precision
         if not np.all(np.isfinite(factors) & (factors >= tiny)):
             raise ValueError(
@@ -130,8 +148,12 @@ class PeriodicGrid:
                 f"stay positive and finite and at least {tiny:.4g}, the smallest normal float "
                 f"(R={spec.R}, r={spec.r})"
             )
-        self.metric_diag.flags.writeable = False
-        self.sqrt_abs_g.flags.writeable = False
+        self.star_coeffs = tuple(
+            np.stack([sign * stars[I] for I, sign in zip(keys, _complement_signs(n, p))])
+            for p, keys in enumerate(map(self.components_of_degree, range(n + 1)))
+        )
+        for arr in (self.metric_diag, self.sqrt_abs_g, *self.star_coeffs):
+            arr.flags.writeable = False
         self.cell_volume = float(np.prod(self.steps))
         self._symbol_cache = {}
 

@@ -252,6 +252,22 @@ def test_hodge_decompose_leaves_phi_unchanged(grid, seed):
         assert phi.values.tobytes() == before
 
 
+@FAST
+@given(grid=st.one_of(flat_grids(), embedded_grids_12()), seed=st.integers(0, 2**32 - 1))
+def test_dual_decompose_matches_coefficients_of_star(grid, seed):
+    # the reference reads v off a whole star(phi); dual_decompose pairs phi
+    # with the basis one star component at a time, in another summation order
+    for basis in every_degree_basis(grid):
+        phi = random_form(grid, basis.degree, seed)
+        got = dual_decompose(phi, basis)
+        ref = basis.dual.coefficients(calculus.star(phi))
+        if grid.is_flat:
+            assert got.tobytes() == ref.tobytes(), basis.degree
+        else:
+            bound = 4 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ref))))
+            assert float(np.max(np.abs(got - ref))) <= bound, basis.degree
+
+
 @pytest.fixture(scope="module")
 def embedded64():
     grid = embedded((64, 64), 2.0, 1.0)

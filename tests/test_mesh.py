@@ -54,6 +54,28 @@ def test_gridspec_validation():
         build_grid(spec)
 
 
+def test_gridspec_refuses_a_non_integer_dim():
+    with pytest.raises(ValueError, match="dim must be whole"):
+        GridSpec(2.5, (8, 8), (TWO_PI, TWO_PI), (1, 1))
+    # a whole float is that integer, and the grid builds
+    spec = GridSpec(2.0, (8, 8), (TWO_PI, TWO_PI), (1, 1))
+    assert type(spec.dim) is int and build_grid(spec).dim == 2
+
+
+@pytest.mark.parametrize("points", [(64.9, 8), (64, 8.5), ("8", 8), (math.nan, 8)])
+def test_gridspec_refuses_a_non_integer_point_count(points):
+    # int() would truncate 64.9 to 64 and 8.5 to 8
+    with pytest.raises(ValueError, match="points must be whole"):
+        GridSpec(2, points, (TWO_PI, TWO_PI), (1, 1))
+
+
+@pytest.mark.parametrize("signature", [(1.0, 1.9), (1, -1.5), (1, None)])
+def test_gridspec_refuses_a_non_integer_signature_entry(signature):
+    # int() would truncate 1.9 to 1: a metric the caller did not ask for
+    with pytest.raises(ValueError, match="signature must be whole"):
+        GridSpec(2, (8, 8), (TWO_PI, TWO_PI), signature)
+
+
 def test_flat_metric_arrays():
     g = build_grid(GridSpec(2, (64, 64), (TWO_PI, TWO_PI), (1, 1)))
     assert np.all(g.sqrt_abs_g == 1.0)
