@@ -1,11 +1,18 @@
 """Signature-aware Hodge star, exterior derivative, coderivative,
 Laplace-Beltrami operator, bilinear pairing, and a minimum-norm Green solver.
 
-star, d and delta = +-star d star are each written once (_star, _d,
-_delta), on the stacked components of a form, and run alike on grid values
-and on their real-FFT spectra.  The metric reaches this module only
-through grid.star_coeffs, the coefficients of star that the grid builds
-once: star, pairings and the curved Green solve all read them.
+star and d are each written once (_star, _d), on the stacked components
+of a form; _d runs alike on grid values and on their real-FFT spectra, and
+delta = +-star d star is _d with the star signs in its terms.  The metric
+reaches this module only through the star the grid builds once: per
+component a sign, sign(perm(I, Ic)) prod_{i in I} s_i, times a weight,
+sqrt|g| prod_{i in I} 1/g_ii, and their products grid.star_coeffs.
+delta, potentials and pairings put the signs into the +- of a term, or of
+a sum, and multiply only by weights that are not 1: on flat metrics, where
+every weight is 1, they run no multiply by a star coefficient (delta
+negates the rows whose last sign is -1, to keep the sign of an exact 0).
+star multiplies by the coefficients, and the curved Green solve reads the
+weights.
 Derivatives use periodic eighth-order central-difference stencils
 (coefficients c_j after Fornberg, Math. Comp. 51, 1988), summed by parts:
 `partial` takes the first differences along the axis in one pass and
@@ -164,65 +171,71 @@ def star(f: DiscreteForm) -> DiscreteForm:
     """Hodge star: pointwise diagonal map for diagonal metrics.
 
     Component I goes to the complementary tuple Ic times its row of
-    grid.star_coeffs[p], sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}
-    (signature_i / g_ii).
+    grid.star_coeffs[p], the sign sign(perm(I, Ic)) * prod_{i in I} s_i of
+    grid.star_signs[p] times the weight sqrt|g| * prod_{i in I} 1 / g_ii of
+    grid.star_weights[p].
     """
     return DiscreteForm(f.grid, f.grid.dim - f.degree, _star(f.values, f.degree, f.grid))
 
 
 def delta(f: DiscreteForm) -> DiscreteForm:
-    """Coderivative (-1)^{C(p)} star d star."""
-    if f.degree == 0:
+    """Coderivative (-1)^{C(p)} star d star.
+
+    Both stars reverse the component order.  The first star's signs are
+    the signs of _d's terms, and its weights, where not 1, multiply the
+    input into one new stack.  The last star multiplies the new output of
+    d in place by (-1)^{C(p)} times its coefficients; on flat grids, where
+    they are +-1, it negates the rows of sign -1 and leaves the others.
+    Its signs stay out of the terms, since a sum of negated terms that is
+    exactly 0 is +0 where the negated sum is -0.
+    """
+    grid, p = f.grid, f.degree
+    if p == 0:
         raise ValueError("coderivative of a 0-form is undefined")
-    return DiscreteForm(f.grid, f.degree - 1, _delta(f.values, f.degree, f.grid, partial))
+    q, neg = grid.dim - p, (-1) ** sign_C(p, grid.dim, grid.neg_count)
+    inner = f.values[::-1] if grid.is_flat else f.values[::-1] * grid.star_weights[p][::-1]
+    dstar = _d(inner, q, grid, partial, grid.star_signs[p][::-1])
+    if grid.is_flat:
+        for row in (r for r, s in zip(dstar, grid.star_signs[q + 1]) if neg * s < 0):
+            np.negative(row, out=row)
+    else:
+        dstar *= grid.star_coeffs[q + 1] * neg
+    return DiscreteForm(grid, p - 1, dstar[::-1])
 
 
-def _d(values, p, grid, deriv):
+def _d(values, p, grid, deriv, in_signs=None, out_signs=None):
     """d of the stacked components of a p-form, or of their spectra, as a new stack.
 
     deriv(f_I, a, grid) stands for the partial of component I along axis a:
     `partial` on grid values, a multiply by i sigma_a on spectra.  The term
-    goes to K = sorted(I + (a,)) with the sign of merging a into I.
+    goes to K = sorted(I + (a,)) with the sign of merging a into I, times
+    the +-1 of input row I and of output row K where in_signs and out_signs
+    give them.
     """
-    out = np.zeros((math.comb(grid.dim, p + 1),) + values.shape[1:], values.dtype)
-    rows = dict(zip(grid.components_of_degree(p + 1), out))
-    for I, comp in zip(grid.components_of_degree(p), values):
+    keys = grid.components_of_degree(p + 1)
+    out = np.zeros((len(keys),) + values.shape[1:], values.dtype)
+    rows = dict(zip(keys, zip(out, out_signs or [1] * len(keys))))
+    for I, comp, s in zip(grid.components_of_degree(p), values, in_signs or [1] * len(values)):
         for a in range(grid.dim):
             if a in I:
                 continue
-            K = tuple(sorted(I + (a,)))
-            if merge_sign((a,), I) > 0:
-                rows[K] += deriv(comp, a, grid)
+            row, t = rows[tuple(sorted(I + (a,)))]
+            if merge_sign((a,), I) * s * t > 0:
+                row += deriv(comp, a, grid)
             else:
-                rows[K] -= deriv(comp, a, grid)
+                row -= deriv(comp, a, grid)
     return out
 
 
-def _star(values, p, grid, scale=1.0, out=None):
-    """scale * star of the stacked components of a p-form, or of their spectra.
+def _star(values, p, grid, scale=1.0):
+    """scale * star of the stacked components of a p-form, as a new stack.
 
     One multiply by grid.star_coeffs[p] (scale multiplies a copy of them),
-    written to `out` (a new array of their broadcast shape when None;
-    `values` itself to work in place) and returned reversed along the
-    component axis: the complements of the sorted degree-p tuples are the
-    sorted degree-(n-p) tuples in reverse order.
+    both read in reverse along the component axis: the complements of the
+    sorted degree-p tuples are the sorted degree-(n-p) tuples in reverse
+    order.
     """
-    coeffs = grid.star_coeffs[p] * scale
-    if out is None:
-        out = np.empty(np.broadcast_shapes(values.shape, coeffs.shape), values.dtype)[::-1]
-    np.multiply(values, coeffs, out=out)
-    return out[::-1]
-
-
-def _delta(values, p, grid, deriv, out=None):
-    """(-1)^{C(p)} star d star of stacked components or spectra, as _d and _star.
-
-    The first star writes to `out`; the last one carries the sign and runs
-    in place on the new output of d."""
-    n = grid.dim
-    sgn = -1.0 if sign_C(p, n, grid.neg_count) else 1.0
-    dstar = _d(_star(values, p, grid, out=out), n - p, grid, deriv)
-    return _star(dstar, n - p + 1, grid, sgn, out=dstar)
+    return values[::-1] * (grid.star_coeffs[p][::-1] * scale)
 
 
 def laplacian(f: DiscreteForm) -> DiscreteForm:
@@ -244,18 +257,22 @@ def pairing(a: DiscreteForm, b: DiscreteForm) -> float:
 
 
 def pairings(forms, b: DiscreteForm) -> list:
-    """[pairing(a, b) for a in forms], with star(b) made one component at a time.
+    """[pairing(a, b) for a in forms], with no copy of star(b).
 
-    Each component of b is multiplied by its row of grid.star_coeffs,
-    paired with the matching component of every form and dropped, so no
-    copy of star(b) is kept.  The products and sums are those of
-    wedge_integral(a, star(b)), in the same order, so each result is
-    bit-equal to it.
+    sign(perm(I, Ic)) times the star sign of I is prod_{i in I} s_i, so
+    (a, b) sums prod_{i in I} s_i * sum(a_I * w_I b_I).  Each component of b
+    is paired as stored on flat grids, where its weight w_I is 1, and times
+    its weight, one component at a time, on curved ones; the sign goes on
+    its sum.  sum(a * -x) is -sum(a * x) exactly, and the other products
+    and sums are those of wedge_integral(a, star(b)), in the same order, so
+    each result is bit-equal to it.
     """
     for a in forms:
         b._check_compatible(a)
-    rows = zip(b.values, b.grid.star_coeffs[b.degree])
-    return _wedge_sums(forms, (comp * coeff for comp, coeff in rows))
+    grid, p = b.grid, b.degree
+    signs = [math.prod(grid.signature[i] for i in I) for I in grid.components_of_degree(p)]
+    rows = b.values if grid.is_flat else map(np.multiply, b.values, grid.star_weights[p])
+    return _wedge_sums(forms, rows, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +375,14 @@ def potentials(phi):
 
     G is the minimum-norm Green operator of green_solve.  On a flat metric
     the stencils are circulant, so this is symbol algebra on the real FFT
-    of phi: the spectra go through _d and _delta with each stencil partial
+    of phi: the spectra go through d and delta with each stencil partial
     replaced by its symbol i sigma_a, and G multiplies by the masked
     inverse of the Laplacian symbol.  One rfftn of the stacked components
     of phi, one irfftn each of the stacked components of alpha and beta.
+    The star weights are 1, so alpha's spectra are signed sums of
+    i sigma_a times the spectra of phi, as are beta's: no pass multiplies
+    the spectra by a star coefficient.  (An exactly zero mode of delta phi
+    may take the other sign of zero than delta gives it.)
     phi is transformed as stored: along a length-1 axis only the mode
     k = 0 is present, where sigma_a = 0, so alpha and beta keep phi's
     shape.  On the curved embedded torus they are green_solve of the 0-form
@@ -386,13 +407,16 @@ def potentials(phi):
     def isig_times(comp, a, _):
         return np.multiply(isig[a], comp, out=term)
 
-    phat = _rfftn(phi.values, grid)
-    beta_hat = _d(phat, p, grid, isig_times) if p < grid.dim else None
-    # the first star of delta runs in place: phat is not used again
-    alpha_hat = _delta(phat, p, grid, isig_times, out=phat) if p > 0 else None
+    n, phat = grid.dim, _rfftn(phi.values, grid)
+    beta_hat = _d(phat, p, grid, isig_times) if p < n else None
+    alpha_hat = None
+    if p > 0:  # delta of phat with the signs of both stars in the terms
+        neg = (-1) ** sign_C(p, n, grid.neg_count)
+        signs = grid.star_signs[p][::-1], [neg * s for s in grid.star_signs[n - p + 1]]
+        alpha_hat = _d(phat[::-1], n - p, grid, isig_times, *signs)[::-1]
     del phat
     alpha = _green_form(grid, p - 1, alpha_hat, green, shape) if p > 0 else None
-    beta = _green_form(grid, p + 1, beta_hat, green, shape) if p < grid.dim else None
+    beta = _green_form(grid, p + 1, beta_hat, green, shape) if p < n else None
     return alpha, beta
 
 
@@ -415,8 +439,8 @@ def _curved_symbols(grid):
     The embedded-torus metric depends on v alone, so sqrt|g| times the
     stencil Laplacian is sigma_k^2 A + K on u mode k, with A = diag(sqrt|g|
     / g_uu), K = D^t diag(sqrt|g| / g_vv) D and D the v-stencil matrix.
-    The weights of A and K are the star coefficients of du and dv, read as
-    the rows of |grid.star_coeffs[1]|.  eigh of A^-1/2 K A^-1/2 gives V
+    The weights of A and K are the star weights of du and dv, the rows of
+    grid.star_weights[1].  eigh of A^-1/2 K A^-1/2 gives V
     with V^t A V = I, V^t K V = diag(lambda) for every mode at once (Lynch,
     Rice & Thomas, Numer. Math. 6, 1964).
     Returns (V, the masked inverse of sigma_k^2 + lambda_j in rfft-along-u
@@ -426,7 +450,7 @@ def _curved_symbols(grid):
     """
     cache = grid._symbol_cache
     if "curved" not in cache:
-        A, weight_v = np.abs(grid.star_coeffs[1][:, 0])
+        A, weight_v = grid.star_weights[1][:, 0]
         # the partial of the identity along its second axis is D^t
         Dt = partial(np.eye(grid.shape[1]), 1, grid)
         K = (Dt * weight_v) @ Dt.T

@@ -68,13 +68,15 @@ def hodge_decompose(phi, basis):
 
 
 def coexact_potential(beta):
-    """beta_m = -(-1)^{C(q)} star(beta) for a q-form beta.
+    """beta_m = -(-1)^{C(q)} star(beta) for a q-form beta, in one multiply.
 
-    Rewrites the coexact term as delta(beta) = -star(d(beta_m)).
+    Rewrites the coexact term as delta(beta) = -star(d(beta_m)).  As in
+    calculus.star, the rows of beta and of grid.star_coeffs[q] are read in
+    reverse; the sign multiplies a copy of the coefficients, not star(beta).
     """
-    grid = beta.grid
-    sgn_c = -1.0 if sign_C(beta.degree, grid.dim, grid.neg_count) else 1.0
-    return calculus.star(beta) * (-sgn_c)
+    grid, q = beta.grid, beta.degree
+    scale = 1.0 if sign_C(q, grid.dim, grid.neg_count) else -1.0
+    return DiscreteForm(grid, grid.dim - q, beta.values[::-1] * (grid.star_coeffs[q][::-1] * scale))
 
 
 def topological_sum(E, P, x, y):

@@ -52,6 +52,13 @@ def _whole(x, name):
     return int(x)
 
 
+def _real(x, name):
+    """x as a float; a value that is not a real number ("6.28", True, 1j) raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be real, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Shape, periods, metric signature and metric preset of an n-torus lattice."""
@@ -70,7 +77,9 @@ class GridSpec:
             raise ValueError(f"dim must be in 1..4, got {self.dim}")
         for name in ("points", "signature"):
             object.__setattr__(self, name, tuple(_whole(k, name) for k in getattr(self, name)))
-        object.__setattr__(self, "periods", tuple(float(L) for L in self.periods))
+        object.__setattr__(self, "periods", tuple(_real(L, "periods") for L in self.periods))
+        for name in ("R", "r"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if len(self.points) != self.dim or len(self.periods) != self.dim:
             raise ValueError("points and periods must have one entry per axis")
         if len(self.signature) != self.dim:
@@ -115,13 +124,15 @@ class PeriodicGrid:
     (n, 1, ..., 1) on flat grids and (2, 1, N_v) on the embedded torus, whose
     metric varies along v only; `sqrt_abs_g` drops the leading axis.
 
-    `star_coeffs[p]` stacks the coefficients of the Hodge star on degree-p
-    components, one row per sorted tuple I in the order of
-    components_of_degree(p): sign(perm(I, Ic)) * sqrt|g| * prod_{i in I}
-    (signature_i / g_ii), broadcastable like `sqrt_abs_g`.  They are the
-    only way the metric reaches calculus.  A grid whose scale factors,
-    sqrt|g| or |star coefficients| are not finite normal positive floats is
-    refused.  All of these arrays are read-only.
+    The Hodge star on degree-p components is a sign times a weight per
+    sorted tuple I, in the order of components_of_degree(p):
+    `star_signs[p]` holds the signs sign(perm(I, Ic)) * prod_{i in I}
+    signature_i as ints, `star_weights[p]` stacks the weights sqrt|g| *
+    prod_{i in I} 1 / g_ii, broadcastable like `sqrt_abs_g`, and
+    `star_coeffs[p]` their products.  Every weight of a flat metric is 1.
+    They are the only way the metric reaches calculus.  A grid whose scale
+    factors, sqrt|g| or star weights are not finite normal positive floats
+    is refused.  All of these arrays are read-only.
     """
 
     def __init__(self, spec: GridSpec):
@@ -136,11 +147,12 @@ class PeriodicGrid:
         n = self.dim
         with np.errstate(all="ignore"):  # an overflow, 0 or NaN is refused below
             self.sqrt_abs_g = np.sqrt(np.prod(self.metric_diag, axis=0))
-            # sqrt|g| * prod_{i in I} s_i / g_ii for every I, multiplied in the order of I
-            stars = {(): self.sqrt_abs_g}
+            # sqrt|g| * prod_{i in I} 1 / g_ii and prod_{i in I} s_i for every I, in the order of I
+            weights, signs = {(): self.sqrt_abs_g}, {(): 1}
             for I in itertools.chain(*map(self.components_of_degree, range(1, n + 1))):
-                stars[I] = stars[I[:-1]] * (self.signature[I[-1]] / self.metric_diag[I[-1]])
-        factors = np.abs(np.stack([*self.metric_diag, *stars.values()]))
+                weights[I] = weights[I[:-1]] * (1.0 / self.metric_diag[I[-1]])
+                signs[I] = signs[I[:-1]] * self.signature[I[-1]]
+        factors = np.stack([*self.metric_diag, *weights.values()])
         tiny = np.finfo(float).tiny  # a subnormal factor has lost its precision
         if not np.all(np.isfinite(factors) & (factors >= tiny)):
             raise ValueError(
@@ -148,11 +160,15 @@ class PeriodicGrid:
                 f"stay positive and finite and at least {tiny:.4g}, the smallest normal float "
                 f"(R={spec.R}, r={spec.r})"
             )
-        self.star_coeffs = tuple(
-            np.stack([sign * stars[I] for I, sign in zip(keys, _complement_signs(n, p))])
-            for p, keys in enumerate(map(self.components_of_degree, range(n + 1)))
+        keys = list(map(self.components_of_degree, range(n + 1)))
+        self.star_signs = tuple(
+            tuple(c * signs[I] for I, c in zip(ks, _complement_signs(n, p)))
+            for p, ks in enumerate(keys)
         )
-        for arr in (self.metric_diag, self.sqrt_abs_g, *self.star_coeffs):
+        self.star_weights = tuple(np.stack([weights[I] for I in ks]) for ks in keys)
+        pairs = zip(self.star_signs, self.star_weights)
+        self.star_coeffs = tuple(np.stack([s * w for s, w in zip(*pair)]) for pair in pairs)
+        for arr in (self.metric_diag, self.sqrt_abs_g, *self.star_weights, *self.star_coeffs):
             arr.flags.writeable = False
         self.cell_volume = float(np.prod(self.steps))
         self._symbol_cache = {}
@@ -349,28 +365,28 @@ def wedge_integral(a: DiscreteForm, b: DiscreteForm) -> float:
     n = a.grid.dim
     if a.degree + b.degree != n:
         raise ValueError(f"wedge_integral needs degrees summing to {n}")
-    return _wedge_sums([a], b.values[::-1])[0]
+    return _wedge_sums([a], b.values[::-1], _complement_signs(n, a.degree))[0]
 
 
-def _wedge_sums(forms, others):
-    """int_M f wedge g for each f of `forms`, all of one degree p on one grid.
+def _wedge_sums(forms, others, signs):
+    """sum_I signs_I * int_M f_I g_I for each f of `forms`, all of one degree p on one grid.
 
-    `others` yields the components of g, each complementary to the sorted
-    degree-p tuple I in the order of those tuples, so a caller can make one
-    component at a time.  Each form gets merge_sign(I, Ic) * sum(f_I * g_Ic)
-    added in that order, with the operands of each product first averaged
-    as in wedge_integral.
+    `others` yields the arrays g_I, one per sorted degree-p tuple I in the
+    order of those tuples, so a caller can make one at a time; with g_I the
+    component Ic of g and signs_I = merge_sign(I, Ic) this is int_M f wedge
+    g.  The sums are added in that order, with the operands of each product
+    first averaged as in wedge_integral: g_I once per distinct shape of the
+    f_I.
     """
     grid = forms[0].grid
-    signs = _complement_signs(grid.dim, forms[0].degree)
+    shapes = {f.values.shape[1:] for f in forms}
     totals = [0.0] * len(forms)
     # one flat zip: an enumerate around it would pin a component in zip's cached tuple
     for sign, fb, *row in zip(signs, others, *(f.values for f in forms)):
+        fb_means = {shape: _mean_along(fb, shape) for shape in shapes}
         for k, fa in enumerate(row):
             # one expression: a named product would outlive its sum into the next one
-            totals[k] += sign * _grid_sum(
-                _mean_along(fa, fb.shape) * _mean_along(fb, fa.shape), grid
-            )
+            totals[k] += sign * _grid_sum(_mean_along(fa, fb.shape) * fb_means[fa.shape], grid)
     return [total * grid.cell_volume for total in totals]
 
 

@@ -76,6 +76,30 @@ def test_gridspec_refuses_a_non_integer_signature_entry(signature):
         GridSpec(2, (8, 8), (TWO_PI, TWO_PI), signature)
 
 
+@pytest.mark.parametrize(
+    "periods", [("6.28", "6.28"), (TWO_PI, "6.28"), (True, TWO_PI), (1j, TWO_PI)]
+)
+def test_gridspec_refuses_a_period_that_is_not_real(periods):
+    # float() would parse "6.28" and take True for 1.0
+    with pytest.raises(ValueError, match="periods must be real"):
+        GridSpec(2, (8, 8), periods, (1, 1))
+
+
+@pytest.mark.parametrize("name", ["R", "r"])
+@pytest.mark.parametrize("bad", ["2", True, None, 2j])
+def test_gridspec_refuses_an_R_or_r_that_is_not_real(name, bad):
+    # math.isfinite("2") raised TypeError, not a ValueError naming the field
+    radii = {"R": 2.0, "r": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be real"):
+        GridSpec(2, (8, 8), (TWO_PI, TWO_PI), (1, 1), "embedded-torus", **radii)
+
+
+def test_gridspec_takes_real_numbers_as_floats():
+    spec = GridSpec(2, (8, 8), (6, np.float32(2.5)), (1, 1), "embedded-torus", 2, np.int64(1))
+    assert spec.periods == (6.0, 2.5) and (spec.R, spec.r) == (2.0, 1.0)
+    assert all(type(x) is float for x in (*spec.periods, spec.R, spec.r))
+
+
 def test_flat_metric_arrays():
     g = build_grid(GridSpec(2, (64, 64), (TWO_PI, TWO_PI), (1, 1)))
     assert np.all(g.sqrt_abs_g == 1.0)
